@@ -501,8 +501,8 @@ impl Strategy for DiscretizedDp {
         cancel: &CancelToken,
     ) -> Result<ReservationSequence> {
         cancel.check()?;
-        // Cached discretization + evaluation table: repeated solves over
-        // the same (dist, scheme, n, ε) skip every quantile/cdf call.
+        // Cached discretization + tail entry: repeated solves over the
+        // same (dist, scheme, n, ε) skip every quantile/cdf call.
         let eval = discretize_eval(dist, self.scheme, self.n, self.epsilon)?;
         let solution = if self.monotone {
             optimal_discrete_cancellable(&eval.discrete, cost, &Parallelism::current(), cancel)?
@@ -521,17 +521,19 @@ impl Strategy for DiscretizedDp {
         }
         // Unbounded: extend past v_n = Q(1-ε) with conditional-mean steps.
         // The DP always ends at v_n, whose survival and conditional mean
-        // sit precomputed (exactly — the table's last entry is the same
-        // quadrature a direct call performs) in the evaluation table;
-        // deeper steps leave the grid and fall back to direct calls.
+        // sit precomputed in the cached tail entry (the same direct calls
+        // made here); deeper steps leave the grid and call directly.
         let mut t = *times.last().expect("DP sequence non-empty");
-        let last = eval.table.len() - 1;
-        let mut table_entry = (t == eval.table.points()[last])
-            .then(|| (eval.table.survival()[last], eval.table.cond_mean()[last]));
+        let v_n = *eval
+            .discrete
+            .values()
+            .last()
+            .expect("discrete law non-empty");
+        let mut tail_entry = (t == v_n).then_some((eval.tail.survival, eval.tail.cond_mean));
         while times.len() < self.policy.max_len {
             // Off-grid steps cost a quadrature each; stay responsive here.
             cancel.check()?;
-            let (survival, cached_cm) = match table_entry.take() {
+            let (survival, cached_cm) = match tail_entry.take() {
                 Some((survival, cm)) => (survival, Some(cm)),
                 None => (dist.survival(t), None),
             };
@@ -667,7 +669,7 @@ mod tests {
         assert!(DiscretizedDp::new(DiscretizationScheme::EqualTime, 10, 1.5).is_err());
     }
 
-    /// The pre-EvalTable reference implementation of
+    /// The uncached reference implementation of
     /// [`DiscretizedDp::sequence`]: fresh discretization, serial DP, and
     /// direct `survival`/`conditional_mean_above` calls in the tail
     /// extension. Kept in tests as the before/after oracle for the
@@ -696,9 +698,9 @@ mod tests {
 
     #[test]
     fn eval_table_path_is_bit_identical_to_direct_path() {
-        // The satellite guarantee for the cdf/survival hoisting: the
-        // cached-table strategy equals the direct-evaluation strategy
-        // bit-for-bit, bounded and unbounded supports alike.
+        // The cached strategy (discretization plus tail entry) equals the
+        // direct-evaluation strategy bit-for-bit, bounded and unbounded
+        // supports alike.
         rsj_dist::clear_eval_cache();
         let c = CostModel::new(0.95, 1.0, 1.05).unwrap();
         let dists: Vec<Box<dyn rsj_dist::ContinuousDistribution>> = vec![
@@ -713,7 +715,7 @@ mod tests {
             let dp = DiscretizedDp::new(scheme, 300, 1e-7).unwrap();
             for dist in &dists {
                 let reference = sequence_reference(&dp, dist.as_ref(), &c);
-                // Run the table path twice: cold cache and warm cache.
+                // Run the cached path twice: cold cache and warm cache.
                 for pass in ["cold", "warm"] {
                     let cached = dp.sequence(dist.as_ref(), &c).unwrap();
                     assert_eq!(

@@ -1,21 +1,26 @@
-//! Precomputed distribution evaluations over a discretization grid
-//! (system S22) plus a process-wide memo for
-//! discretization-and-table pairs.
+//! The process-wide discretization cache (system S22) plus a standalone
+//! grid evaluator.
 //!
-//! The discretized DP and the brute-force sweep call `F(tᵢ)` / survival /
-//! `E[X | X > tᵢ]` at the *same* grid points for every solve over a given
-//! `(distribution, scheme, n, ε)` tuple — previously re-evaluating the
-//! special functions (`ln Γ`, incomplete gamma/beta inverses, …) on every
-//! visit. An [`EvalTable`] evaluates each grid point once; the
-//! [`discretize_eval`] cache shares the table (and the discretization
-//! itself) across solver instances, experiment steps and worker threads.
+//! The discretized DP calls `discretize` for every solve over a given
+//! `(distribution, scheme, n, ε)` tuple — previously re-running the
+//! special functions (`ln Γ`, incomplete gamma/beta inverses, …) at every
+//! grid point on every visit. The [`discretize_eval`] cache shares one
+//! [`DiscretizedEval`] across solver instances, experiment steps and
+//! worker threads. An entry holds exactly what the solver reads: the
+//! discretization itself plus its [`TailEntry`] — the survival and exact
+//! conditional mean at the last support point `v_n`, which seed the DP's
+//! unbounded-tail extension. Both tail values are direct calls, so they
+//! are bit-for-bit what the solver would compute itself.
+//!
+//! [`EvalTable`] is a standalone evaluator over an arbitrary grid and is
+//! off the plan path: the cache does not build one.
 //!
 //! ## Exactness
 //!
-//! `cdf`/`survival` entries are the distribution's own values at the grid
-//! points — bit-for-bit what a direct call returns. The conditional-mean
-//! column is exact (one adaptive quadrature) at the **last** grid point —
-//! the only one the DP's unbounded-tail extension consumes — and a
+//! `cdf`/`survival` table entries are the distribution's own values at
+//! the grid points — bit-for-bit what a direct call returns. The
+//! conditional-mean column is exact (one adaptive quadrature) at the
+//! **last** grid point, where it equals the cache's [`TailEntry`], and a
 //! trapezoid-of-survival approximation at interior points, clearly
 //! documented for callers that can tolerate it.
 
@@ -130,14 +135,24 @@ impl EvalTable {
     }
 }
 
-/// A discretization paired with the evaluation table over its support
-/// points — the unit the process-wide cache shares between solvers.
+/// The distribution's survival and exact conditional mean at the last
+/// support point `v_n` of a discretization.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TailEntry {
+    /// `P(X ≥ v_n)`.
+    pub survival: f64,
+    /// `E[X | X > v_n]`, or `v_n` itself when `survival` is zero.
+    pub cond_mean: f64,
+}
+
+/// A discretization paired with its tail entry — the unit the
+/// process-wide cache shares between solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscretizedEval {
     /// The §4.2.1 discrete law (identical to what [`discretize`] returns).
     pub discrete: DiscreteDistribution,
-    /// Distribution evaluations at `discrete.values()`.
-    pub table: EvalTable,
+    /// Survival and conditional mean at the last support point `v_n`.
+    pub tail: TailEntry,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -148,10 +163,11 @@ struct CacheKey {
     epsilon_bits: u64,
 }
 
-/// Bound on cached entries. Each entry holds ~4 `n`-length vectors
-/// (n ≤ a few thousand in practice); 128 entries is a generous working
-/// set for a full experiment suite. On overflow the map is cleared — a
-/// crude but branch-free eviction that can only cost recomputation.
+/// Bound on cached entries. Each entry holds the discretization's two
+/// `n`-length vectors plus a two-value tail entry (n ≤ a few thousand in
+/// practice); 128 entries is a generous working set for a full
+/// experiment suite. On overflow the map is cleared — a crude but
+/// branch-free eviction that can only cost recomputation.
 const CACHE_CAPACITY: usize = 128;
 
 static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>>> = OnceLock::new();
@@ -159,7 +175,7 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// How the most recent [`discretize_eval`] call on this thread obtained
-/// its table. A per-thread side channel (like `rsj-core`'s DP-path
+/// its entry. A per-thread side channel (like `rsj-core`'s DP-path
 /// attribution) so solve explanations can say "warm" or "cold" without
 /// racing other threads' cache traffic the way global hit/miss deltas
 /// would.
@@ -210,8 +226,8 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<DiscretizedEval>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Discretizes `dist` (same semantics as [`discretize`]) and builds the
-/// evaluation table over the resulting support, memoized process-wide by
+/// Discretizes `dist` (same semantics as [`discretize`]) and evaluates
+/// its [`TailEntry`] at the last support point, memoized process-wide by
 /// `(dist.cache_key(), scheme, n, epsilon)`.
 ///
 /// Distributions without a faithful [`ContinuousDistribution::cache_key`]
@@ -241,8 +257,23 @@ pub fn discretize_eval(
     record_eval_source(EvalTableSource::Built);
 
     let discrete = discretize(dist, scheme, n, epsilon)?;
-    let table = EvalTable::build(dist, discrete.values().to_vec())?;
-    let entry = Arc::new(DiscretizedEval { discrete, table });
+    // Direct calls, bit-identical to the last entry of an `EvalTable`
+    // over the same support.
+    let v_n = *discrete
+        .values()
+        .last()
+        .expect("discretizations are non-empty");
+    let survival = dist.survival(v_n);
+    let cond_mean = if survival > 0.0 {
+        dist.conditional_mean_above(v_n)
+    } else {
+        v_n
+    };
+    let tail = TailEntry {
+        survival,
+        cond_mean,
+    };
+    let entry = Arc::new(DiscretizedEval { discrete, tail });
 
     if let Some(key) = key {
         let mut map = cache().lock().expect("eval cache lock");
@@ -275,6 +306,15 @@ mod tests {
     use super::*;
     use crate::continuous::{Exponential, LogNormal, Uniform};
 
+    /// Held by every test that touches the process-wide cache, so one
+    /// test's lookups and clears never land inside another's hit/miss
+    /// accounting under parallel libtest.
+    static GLOBAL_CACHE: Mutex<()> = Mutex::new(());
+
+    fn lock_cache() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_CACHE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn table_matches_direct_calls_bit_for_bit() {
         let d = LogNormal::new(3.0, 0.5).unwrap();
@@ -289,6 +329,39 @@ mod tests {
             t.cond_mean()[49].to_bits(),
             d.conditional_mean_above(50.0).to_bits()
         );
+    }
+
+    #[test]
+    fn cache_entry_is_the_discretization_plus_direct_tail_calls() {
+        let _guard = lock_cache();
+        for (name, spec) in crate::DistSpec::paper_table1() {
+            let d = spec.build().unwrap();
+            for scheme in [
+                DiscretizationScheme::EqualTime,
+                DiscretizationScheme::EqualProbability,
+            ] {
+                let e = discretize_eval(d.as_ref(), scheme, 200, 1e-7).unwrap();
+                let reference = discretize(d.as_ref(), scheme, 200, 1e-7).unwrap();
+                assert_eq!(e.discrete, reference, "{name}/{scheme:?}");
+                let v_n = *reference.values().last().unwrap();
+                let survival = d.survival(v_n);
+                assert_eq!(e.tail.survival.to_bits(), survival.to_bits(), "{name}");
+                // Bounded laws end at the support's upper end, where no
+                // mass remains and the entry is v_n itself.
+                let cond_mean = if survival > 0.0 {
+                    d.conditional_mean_above(v_n)
+                } else {
+                    assert!(d.support().is_bounded(), "{name}: no mass beyond v_n");
+                    v_n
+                };
+                assert_eq!(e.tail.cond_mean.to_bits(), cond_mean.to_bits(), "{name}");
+                // The standalone table's last entry agrees bit for bit.
+                let t = EvalTable::build(d.as_ref(), reference.values().to_vec()).unwrap();
+                let last = t.len() - 1;
+                assert_eq!(t.survival()[last].to_bits(), e.tail.survival.to_bits());
+                assert_eq!(t.cond_mean()[last].to_bits(), e.tail.cond_mean.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -328,6 +401,7 @@ mod tests {
 
     #[test]
     fn cache_shares_entries_and_counts_hits() {
+        let _guard = lock_cache();
         clear_eval_cache();
         let d = LogNormal::new(1.25, 0.4).unwrap();
         let a = discretize_eval(&d, DiscretizationScheme::EqualProbability, 64, 1e-7).unwrap();
@@ -346,6 +420,7 @@ mod tests {
 
     #[test]
     fn uncacheable_distributions_are_computed_fresh() {
+        let _guard = lock_cache();
         clear_eval_cache();
         let samples: Vec<f64> = (1..=200).map(|i| i as f64 * 0.1).collect();
         let d = crate::interpolated::InterpolatedEmpirical::from_samples(&samples).unwrap();

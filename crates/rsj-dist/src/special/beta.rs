@@ -5,6 +5,12 @@
 //! Continued-fraction evaluation follows the classic Numerical-Recipes
 //! `betacf` scheme (modified Lentz); the inverse uses a Newton iteration
 //! seeded by the Abramowitz & Stegun 26.5.22 approximation.
+//!
+//! The private `beta_inc_with` takes the normalizing constant
+//! `ln Γ(a+b) − ln Γ(a) − ln Γ(b)` as an argument, so [`inverse_beta_inc`]
+//! computes its three `ln Γ` calls once per inversion instead of once per
+//! Newton step. The public [`beta_inc`] computes them per call with the
+//! same left-to-right arithmetic, so results are bit-identical.
 
 use super::gamma::ln_gamma;
 
@@ -77,13 +83,19 @@ pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
         (0.0..=1.0).contains(&x),
         "beta_inc: x must be in [0, 1], got {x}"
     );
+    beta_inc_with(a, b, x, ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b))
+}
+
+/// [`beta_inc`] without its argument checks, given
+/// `lnorm = ln Γ(a+b) − ln Γ(a) − ln Γ(b)` (evaluated in that order).
+fn beta_inc_with(a: f64, b: f64, x: f64, lnorm: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
     if x == 1.0 {
         return 1.0;
     }
-    let bt = (ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln()).exp();
+    let bt = (lnorm + a * x.ln() + b * (1.0 - x).ln()).exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         bt * betacf(a, b, x) / a
     } else {
@@ -143,8 +155,11 @@ pub fn inverse_beta_inc(a: f64, b: f64, p: f64) -> f64 {
     }
 
     // Bracketed Newton on (0, 1): bisection whenever the Newton step leaves
-    // the bracket or the density degenerates.
-    let afac = -ln_beta(a, b);
+    // the bracket or the density degenerates. The `ln Γ` constants are
+    // computed once here rather than in every `I_x(a, b)` evaluation.
+    let (lga, lgb, lgab) = (ln_gamma(a), ln_gamma(b), ln_gamma(a + b));
+    let lnorm = lgab - lga - lgb;
+    let afac = -(lga + lgb - lgab);
     let a1 = a - 1.0;
     let b1 = b - 1.0;
     let mut lo = 0.0;
@@ -153,7 +168,7 @@ pub fn inverse_beta_inc(a: f64, b: f64, p: f64) -> f64 {
         x = 0.5;
     }
     for _ in 0..200 {
-        let err = beta_inc(a, b, x) - p;
+        let err = beta_inc_with(a, b, x, lnorm) - p;
         if err > 0.0 {
             hi = x;
         } else {

@@ -9,6 +9,12 @@
 //! `ln Γ` and series / continued-fraction evaluation for the incomplete
 //! functions (Lentz's algorithm). Accuracy is ~1e-14 relative over the
 //! parameter ranges used by the distributions in this crate.
+//!
+//! The series and continued-fraction helpers take `ln Γ(a)` as an
+//! argument, so [`inverse_gamma_p`] computes it once per inversion instead
+//! of once per Newton step; the public [`gamma_p`] / [`gamma_q`] compute it
+//! per call. The arithmetic is the same either way, so results are
+//! bit-identical.
 
 use super::normal::norm_quantile;
 
@@ -83,9 +89,9 @@ const MAX_ITER: usize = 400;
 const EPS: f64 = 1e-16;
 const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
 
-/// Series representation of the lower regularized incomplete gamma `P(a, x)`.
-/// Converges fast for `x < a + 1`.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+/// Series representation of the lower regularized incomplete gamma `P(a, x)`,
+/// given `gln = ln Γ(a)`. Converges fast for `x < a + 1`.
+fn gamma_p_series(a: f64, x: f64, gln: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
@@ -97,12 +103,13 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * x.ln() - gln).exp()
 }
 
 /// Continued-fraction representation of the upper regularized incomplete
-/// gamma `Q(a, x)` (modified Lentz). Converges fast for `x >= a + 1`.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
+/// gamma `Q(a, x)` (modified Lentz), given `gln = ln Γ(a)`. Converges fast
+/// for `x >= a + 1`.
+fn gamma_q_cf(a: f64, x: f64, gln: f64) -> f64 {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
     let mut d = 1.0 / b;
@@ -125,7 +132,19 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
+    (-x + a * x.ln() - gln).exp() * h
+}
+
+/// [`gamma_p`] without its argument checks, given `gln = ln Γ(a)`.
+fn gamma_p_with(a: f64, x: f64, gln: f64) -> f64 {
+    if x == 0.0 {
+        return 0.0;
+    }
+    if x < a + 1.0 {
+        gamma_p_series(a, x, gln)
+    } else {
+        1.0 - gamma_q_cf(a, x, gln)
+    }
 }
 
 /// Lower regularized incomplete gamma function
@@ -133,14 +152,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 pub fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p: a must be positive, got {a}");
     assert!(x >= 0.0, "gamma_p: x must be non-negative, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
+    gamma_p_with(a, x, ln_gamma(a))
 }
 
 /// Upper regularized incomplete gamma function
@@ -151,10 +163,11 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     if x == 0.0 {
         return 1.0;
     }
+    let gln = ln_gamma(a);
     if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
+        1.0 - gamma_p_series(a, x, gln)
     } else {
-        gamma_q_cf(a, x)
+        gamma_q_cf(a, x, gln)
     }
 }
 
@@ -171,7 +184,8 @@ pub fn upper_incomplete_gamma(a: f64, x: f64) -> f64 {
 ///
 /// Initial guess follows Numerical-Recipes (`invgammp`): Wilson–Hilferty for
 /// `a > 1`, a two-piece low-`a` approximation otherwise, refined by a
-/// safeguarded Newton iteration on `P(a, ·)`.
+/// safeguarded Newton iteration on `P(a, ·)`. `ln Γ(a)` is computed once
+/// and shared by every `P(a, ·)` evaluation of the iteration.
 pub fn inverse_gamma_p(a: f64, p: f64) -> f64 {
     assert!(a > 0.0, "inverse_gamma_p: a must be positive, got {a}");
     assert!(
@@ -216,7 +230,7 @@ pub fn inverse_gamma_p(a: f64, p: f64) -> f64 {
     let mut lo = 0.0;
     let mut hi = x.max(a);
     let mut guard = 0;
-    while gamma_p(a, hi) < p {
+    while gamma_p_with(a, hi, gln) < p {
         hi *= 2.0;
         guard += 1;
         if guard > 600 {
@@ -230,7 +244,7 @@ pub fn inverse_gamma_p(a: f64, p: f64) -> f64 {
     // Bracketed Newton: fall back to bisection whenever the Newton step
     // leaves the bracket or the density underflows.
     for _ in 0..200 {
-        let err = gamma_p(a, x) - p;
+        let err = gamma_p_with(a, x, gln) - p;
         if err > 0.0 {
             hi = x;
         } else {

@@ -4,21 +4,40 @@
 
 use rsj_obs::{Level, MemorySink, NoopRecorder, Recorder, ScopedTimer};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Subscriber/metrics state is process-global; the tests in this file
 /// serialize on this lock so they cannot observe each other's setup.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
-/// Counts allocations so tests can assert a region performed none.
+/// Takes [`GLOBAL_STATE`] even if a sibling test panicked while holding
+/// it, so one failure is reported once instead of cascading.
+fn lock_global_state() -> MutexGuard<'static, ()> {
+    GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Counts allocations so tests can assert a region performed none. Only
+/// allocations made by a thread inside [`count_allocations`] are counted:
+/// libtest's other threads (sibling tests, output capture, the harness's
+/// own bookkeeping) allocate concurrently and must not land in the
+/// measured window.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const` init with a `Copy` type: no lazy registration or destructor,
+    // so reading it from inside the allocator never allocates itself.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -30,8 +49,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` on the calling thread and returns its result together with
+/// the number of allocations that thread made meanwhile.
+fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let result = f();
+    COUNTING.with(|c| c.set(false));
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
 /// A stand-in for an instrumented hot path: spans, leveled events with
@@ -60,7 +85,7 @@ fn instrumented_work(recorder: &impl Recorder, iterations: u64) -> f64 {
 
 #[test]
 fn disabled_observability_does_not_allocate_or_record() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = lock_global_state();
     // Process-global state: make the disabled state explicit rather than
     // assuming test ordering.
     rsj_obs::init(None);
@@ -71,16 +96,11 @@ fn disabled_observability_does_not_allocate_or_record() {
     // registration, etc.) don't count against the measured region.
     std::hint::black_box(instrumented_work(&NoopRecorder, 10));
 
-    let before = allocations();
-    let result = std::hint::black_box(instrumented_work(&NoopRecorder, 10_000));
-    let after = allocations();
+    let (result, allocated) =
+        count_allocations(|| std::hint::black_box(instrumented_work(&NoopRecorder, 10_000)));
 
     assert!(result > 0.0);
-    assert_eq!(
-        after - before,
-        0,
-        "disabled instrumentation must not allocate"
-    );
+    assert_eq!(allocated, 0, "disabled instrumentation must not allocate");
     assert!(
         !rsj_obs::global_registry()
             .names()
@@ -92,7 +112,7 @@ fn disabled_observability_does_not_allocate_or_record() {
 
 #[test]
 fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = lock_global_state();
     // Events emitted while disabled are gone: installing a sink afterwards
     // must observe an empty world, proving nothing was buffered.
     rsj_obs::init(None);
@@ -115,7 +135,7 @@ fn disabled_tracing_emits_nothing_to_a_sink_installed_later() {
 
 #[test]
 fn request_tracing_toggle_gates_timeline_capture() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
+    let _guard = lock_global_state();
     rsj_obs::set_request_tracing(false);
     let off = rsj_obs::Timeline::begin_if_enabled(std::time::Instant::now());
     assert!(!off.is_enabled());

@@ -26,8 +26,8 @@
 //!   and idle deadline, so a slow or idle peer costs a buffer rather than
 //!   a thread. Complete frames cross a bounded MPMC queue into a fixed
 //!   worker pool; each worker drains up to a configurable batch of
-//!   queued requests grouped by table-order key so same-table solves
-//!   share a warm eval table.
+//!   queued requests grouped by table-order key so same-law solves
+//!   share a warm cached discretization.
 //! * **Server** ([`server`]) — admission control ([`admission`]:
 //!   watermark-hysteresis load shedding with typed `overloaded`
 //!   fast-rejects), per-request deadlines enforced at dequeue and

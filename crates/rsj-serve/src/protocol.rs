@@ -98,7 +98,7 @@ pub enum Request {
         trace: bool,
     },
     /// Compute a whole batch of plans in one round trip (protocol v2).
-    /// Items are solved grouped by their shared eval table, so a batch of
+    /// Items are solved grouped by their shared discretization, so a batch of
     /// cache misses over one distribution costs one discretization instead
     /// of N. Each item succeeds or fails independently — the response is a
     /// vec of per-item tagged results in input order.

@@ -1235,7 +1235,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// The batch-grouping key: identical keys mean the solves share the same
-/// discretized evaluation table (distribution + exact cost bits), so
+/// cached discretization (distribution + exact cost bits), so
 /// running them back-to-back makes every solve after the first warm.
 fn table_order_key(item: &WorkItem) -> Option<String> {
     match &item.decoded {

@@ -315,8 +315,8 @@ impl Planner {
 
     /// The `distribution + cost` prefix of [`cache_key`](Self::cache_key):
     /// two planners with the same group key discretize the same law, so
-    /// solving them back-to-back reuses one warm eval table regardless of
-    /// which solver each dispatches to. `None` when the distribution has
+    /// solving them back-to-back reuses one warm cached discretization
+    /// regardless of which solver each dispatches to. `None` when the distribution has
     /// no faithful cache key (such planners never share).
     pub fn group_key(&self) -> Option<String> {
         let key = self.cache_key()?;
@@ -326,14 +326,14 @@ impl Planner {
         })
     }
 
-    /// Plans a whole batch, sharing one warm eval table per
+    /// Plans a whole batch, sharing one warm cached discretization per
     /// [`group_key`](Self::group_key) group.
     ///
     /// Each item is planned independently — one invalid distribution or a
     /// mid-batch failure never poisons its neighbours — and results come
     /// back in input order. Internally the batch is solved in group order
     /// (items sharing a `distribution + cost` prefix run consecutively) so
-    /// the discretized eval-table memo stays warm across a group, which is
+    /// the discretization cache stays warm across a group, which is
     /// where the batched server op gets its cache-miss throughput.
     ///
     /// Every item is bit-for-bit identical to what a standalone
