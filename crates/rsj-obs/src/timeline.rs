@@ -264,6 +264,19 @@ impl Timeline {
         }
     }
 
+    /// Attaches a `key = value` annotation to the most recently recorded
+    /// stage named `name`, for labels that apply to a stage recorded
+    /// before others (e.g. a batch item's index on its `solve` stage,
+    /// which `score` follows). No-op when disabled or when no such stage
+    /// exists.
+    pub fn annotate_stage(&mut self, name: &str, key: impl Into<String>, value: impl Into<String>) {
+        if let Some(inner) = &mut self.inner {
+            if let Some(stage) = inner.stages.iter_mut().rev().find(|s| s.name == name) {
+                stage.args.push((key.into(), value.into()));
+            }
+        }
+    }
+
     /// Runs `f`, recording it as stage `name`. When disabled this calls
     /// `f` directly without reading the clock.
     pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {

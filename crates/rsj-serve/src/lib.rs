@@ -25,9 +25,8 @@
 //!   read buffering, incremental line assembly, partial-write resumption
 //!   and idle deadline, so a slow or idle peer costs a buffer rather than
 //!   a thread. Complete frames cross a bounded MPMC queue into a fixed
-//!   worker pool; each worker drains up to a configurable batch of
-//!   queued requests grouped by table-order key so same-law solves
-//!   share a warm cached discretization.
+//!   worker pool. A `plan` request and each `plan_batch` item take the
+//!   same pipeline: cache, single-flight, solve, journal.
 //! * **Server** ([`server`]) — admission control ([`admission`]:
 //!   watermark-hysteresis load shedding with typed `overloaded`
 //!   fast-rejects), per-request deadlines enforced at dequeue and
@@ -95,8 +94,8 @@ pub use protocol::{
     classify, decode_request, encode, sanitize_trace_id, BatchItem, ErrorKind, HealthInfo,
     Provenance, Request, Response, Timings, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
 };
-pub use reservation_strategies::PlanRequest;
 pub use recovery::{recover, RecoveryStats};
+pub use reservation_strategies::PlanRequest;
 pub use retry::{
     BreakerConfig, BreakerState, CircuitBreaker, ResilientClient, RetryClass, RetryPolicy,
 };

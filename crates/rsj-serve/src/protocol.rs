@@ -98,10 +98,11 @@ pub enum Request {
         trace: bool,
     },
     /// Compute a whole batch of plans in one round trip (protocol v2).
-    /// Items are solved grouped by their shared discretization, so a batch of
-    /// cache misses over one distribution costs one discretization instead
-    /// of N. Each item succeeds or fails independently — the response is a
-    /// vec of per-item tagged results in input order.
+    /// Each item is answered exactly like a `plan` request (cache,
+    /// single-flight, solve, journal), in input order; items over one law
+    /// share a warm discretization through the solver's memo. Each item
+    /// succeeds or fails independently — the response is a vec of
+    /// per-item tagged results in input order.
     PlanBatch {
         /// Protocol version; `plan_batch` requires `v: 2`.
         #[serde(default = "default_version")]
@@ -115,7 +116,7 @@ pub enum Request {
         #[serde(default, skip_serializing_if = "Option::is_none")]
         deadline_ms: Option<u64>,
         /// Client-supplied trace id for the whole batch (one id; items are
-        /// distinguished by per-item `item` stage annotations).
+        /// distinguished by the `item` annotation on their stages).
         #[serde(default, skip_serializing_if = "Option::is_none")]
         trace_id: Option<String>,
         /// Embed the server-side stage timeline in the response.
@@ -795,7 +796,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             req,
-            Request::plan_batch(vec![PlanRequest::new(DistSpec::Exponential { lambda: 1.0 })])
+            Request::plan_batch(vec![PlanRequest::new(DistSpec::Exponential {
+                lambda: 1.0
+            })])
         );
         // …and a bare plan_batch frame (defaulting to v1) is rejected with
         // a pointer at v2, not a confusing malformed_request.

@@ -13,16 +13,16 @@
 //! 2. only *complete decoded requests* cross the bounded MPMC
 //!    [`AdmissionQueue`]. Above the high watermark the request is *shed*
 //!    on the reactor thread with a typed [`ErrorKind::Overloaded`] line.
-//!    Workers drain up to `batch` queued requests at once, grouping
-//!    same-table plan requests adjacently so consecutive solves share one
-//!    warm discretization table, and dispatch: `ping`/`metrics` answer
-//!    immediately, `plan` goes through the LRU cache, the table-grouped
-//!    single-flight, or the [`Planner`] facade, `plan_batch` solves a
-//!    whole vector of plan requests sharing tables via
-//!    [`Planner::plan_many`] semantics, `shutdown` raises the flag. A
-//!    request carrying `deadline_ms` is shed at dequeue if already
-//!    expired, and its solve is cancelled cooperatively (via
-//!    [`CancelToken`]) if the deadline fires mid-flight;
+//!    Workers pop one request at a time and dispatch: `ping`/`metrics`
+//!    answer immediately, `shutdown` raises the flag, and `plan` — like
+//!    each item of a `plan_batch`, in input order — takes the one plan
+//!    pipeline: build the [`Planner`], LRU cache lookup, single-flight
+//!    onto an identical in-flight solve, solve, cache insert, journal
+//!    append. Which solves share a warm discretization is decided by
+//!    `rsj-dist`'s process-wide memo alone. A request carrying
+//!    `deadline_ms` is shed at dequeue if already expired, and its solve
+//!    is cancelled cooperatively (via [`CancelToken`]) if the deadline
+//!    fires mid-flight;
 //! 3. finished responses return to the reactor over an outbox (a queue
 //!    plus a self-pipe waker) and are flushed with partial-write
 //!    resumption. Once the shutdown flag is up the reactor stops
@@ -49,8 +49,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::{CancelToken, Plan, PlanRequest, Planner, SimulateOptions};
-use rsj_core::{CostModel, SolverSpec};
-use rsj_dist::DistSpec;
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, Pop};
 use crate::cache::PlanCache;
@@ -123,10 +121,6 @@ pub struct ServerConfig {
     pub max_line_bytes: usize,
     /// Admission-queue sizing (capacity and shed watermarks).
     pub admission: AdmissionConfig,
-    /// How many queued requests one worker drains per wakeup; same-table
-    /// plan requests in a drained batch are grouped adjacently so their
-    /// solves share one warm discretization table. 1 disables batching.
-    pub batch: usize,
     /// Fault-injection schedule; `None` in production.
     pub chaos: Option<ChaosPolicy>,
     /// Crash-safety settings; `None` serves memory-only (a restart loses
@@ -152,7 +146,6 @@ impl Default for ServerConfig {
             cache_shards: 8,
             max_line_bytes: 1 << 20,
             admission: AdmissionConfig::default(),
-            batch: 8,
             chaos: None,
             durability: None,
             trace_buffer: 0,
@@ -651,9 +644,7 @@ impl Reactor {
             }
             if self.draining {
                 let done = self.conns.iter().all(Option::is_none);
-                let expired = self
-                    .drain_deadline
-                    .is_some_and(|d| Instant::now() >= d);
+                let expired = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
                 if done {
                     return Ok(());
                 }
@@ -665,8 +656,7 @@ impl Reactor {
                 }
             }
             self.poller.wait(&mut events, Some(EVENT_LOOP_TICK))?;
-            for i in 0..events.len() {
-                let ev = events[i];
+            for &ev in &events {
                 if ev.token == TOKEN_LISTENER {
                     self.accept_ready()?;
                     continue;
@@ -822,132 +812,128 @@ impl Reactor {
         self.update_interest(token);
     }
 
-    /// Dispatch queued lines: decode on the reactor, then hand the
-    /// complete decoded request to the workers (or shed it, or answer a
-    /// connection-limit error directly). At most one request per
+    /// Dispatch the next queued line: decode on the reactor, then hand
+    /// the complete decoded request to the workers (or shed it, or answer
+    /// a connection-limit error directly). At most one request per
     /// connection is in flight at a time.
     fn pump(&mut self, token: usize) {
         if self.draining {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        loop {
-            let (line, line_at, conn_id, served, is_first, base, accepted_at);
+        let (line, line_at, conn_id, served, is_first, base, accepted_at);
+        {
+            let Some(Some(conn)) = self.conns.get_mut(token) else {
+                return;
+            };
+            if conn.in_flight
+                || !conn.out.is_empty()
+                || conn.finish.is_some()
+                || conn.close_after_write
             {
-                let Some(Some(conn)) = self.conns.get_mut(token) else {
-                    return;
-                };
-                if conn.in_flight
-                    || !conn.out.is_empty()
-                    || conn.finish.is_some()
-                    || conn.close_after_write
-                {
-                    return;
-                }
-                let Some((l, at)) = conn.lines.pop_front() else {
-                    return;
-                };
-                conn.served += 1;
-                conn_id = conn.conn_id;
-                served = conn.served;
-                is_first = conn.first_base.is_some();
-                base = conn.first_base.take().unwrap_or(at);
-                accepted_at = conn.accepted_at;
-                line = l;
-                line_at = at;
-            }
-            if served > shared.config.max_requests_per_conn {
-                counter("rsj_serve_errors_total").inc();
-                let response = Response::error(
-                    ErrorKind::TooManyRequests,
-                    format!(
-                        "connection exceeded {} requests; reconnect to continue",
-                        shared.config.max_requests_per_conn
-                    ),
-                );
-                self.queue_direct_response(token, &response);
                 return;
             }
-            let started = Instant::now();
-            let decoded = decode_request(&line);
-            let decode_ended = Instant::now();
-            let version = decoded
-                .as_ref()
-                .map(|r| r.version())
-                .unwrap_or(PROTOCOL_VERSION);
-            let (client_trace_id, want_trace) = match &decoded {
-                Ok(
-                    Request::Plan {
-                        trace_id, trace, ..
-                    }
-                    | Request::PlanBatch {
-                        trace_id, trace, ..
-                    },
-                ) => (sanitize_trace_id(trace_id.as_deref()), *trace),
-                _ => (None, false),
+            let Some((l, at)) = conn.lines.pop_front() else {
+                return;
             };
-            let op = op_name(&decoded);
-            // A timeline exists when the server retains traces, when slow
-            // logging needs a breakdown, or when this request asked for
-            // one. Otherwise the disabled timeline allocates nothing.
-            let tracing = want_trace || shared.trace.is_some() || shared.config.slow_ms.is_some();
-            let timeline = if tracing {
-                let mut t = rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), base);
-                if let Some(id) = &client_trace_id {
-                    t.adopt_trace_id(id.clone());
+            conn.served += 1;
+            conn_id = conn.conn_id;
+            served = conn.served;
+            is_first = conn.first_base.is_some();
+            base = conn.first_base.take().unwrap_or(at);
+            accepted_at = conn.accepted_at;
+            line = l;
+            line_at = at;
+        }
+        if served > shared.config.max_requests_per_conn {
+            counter("rsj_serve_errors_total").inc();
+            let response = Response::error(
+                ErrorKind::TooManyRequests,
+                format!(
+                    "connection exceeded {} requests; reconnect to continue",
+                    shared.config.max_requests_per_conn
+                ),
+            );
+            self.queue_direct_response(token, &response);
+            return;
+        }
+        let started = Instant::now();
+        let decoded = decode_request(&line);
+        let decode_ended = Instant::now();
+        let version = decoded
+            .as_ref()
+            .map(|r| r.version())
+            .unwrap_or(PROTOCOL_VERSION);
+        let (client_trace_id, want_trace) = match &decoded {
+            Ok(
+                Request::Plan {
+                    trace_id, trace, ..
                 }
-                if is_first {
-                    // The connection sat between accept and its first
-                    // complete line: client think time, not server
-                    // latency — recorded so the timeline has no
-                    // unattributed gap, and named so the slow-warn gate
-                    // can subtract it.
-                    t.record_span("read_wait", accepted_at, line_at);
+                | Request::PlanBatch {
+                    trace_id, trace, ..
+                },
+            ) => (sanitize_trace_id(trace_id.as_deref()), *trace),
+            _ => (None, false),
+        };
+        let op = op_name(&decoded);
+        // A timeline exists when the server retains traces, when slow
+        // logging needs a breakdown, or when this request asked for
+        // one. Otherwise the disabled timeline allocates nothing.
+        let tracing = want_trace || shared.trace.is_some() || shared.config.slow_ms.is_some();
+        let timeline = if tracing {
+            let mut t = rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), base);
+            if let Some(id) = &client_trace_id {
+                t.adopt_trace_id(id.clone());
+            }
+            if is_first {
+                // The connection sat between accept and its first
+                // complete line: client think time, not server
+                // latency — recorded so the timeline has no
+                // unattributed gap, and named so the slow-warn gate
+                // can subtract it.
+                t.record_span("read_wait", accepted_at, line_at);
+            }
+            t.record_span("decode", started, decode_ended);
+            t
+        } else {
+            rsj_obs::Timeline::disabled()
+        };
+        let item = WorkItem {
+            token,
+            conn_id,
+            req_index: (served - 1) as u64,
+            decoded,
+            version,
+            base,
+            client_trace_id,
+            op,
+            started,
+            enqueued_at: Instant::now(),
+            timeline,
+        };
+        match shared.admission.try_admit(item) {
+            Ok(()) => {
+                queue_depth_gauge(&shared);
+                if let Some(Some(conn)) = self.conns.get_mut(token) {
+                    conn.in_flight = true;
                 }
-                t.record_span("decode", started, decode_ended);
-                t
-            } else {
-                rsj_obs::Timeline::disabled()
-            };
-            let item = WorkItem {
-                token,
-                conn_id,
-                req_index: (served - 1) as u64,
-                decoded,
-                version,
-                base,
-                client_trace_id,
-                op,
-                started,
-                enqueued_at: Instant::now(),
-                timeline,
-            };
-            match shared.admission.try_admit(item) {
-                Ok(()) => {
-                    queue_depth_gauge(&shared);
-                    if let Some(Some(conn)) = self.conns.get_mut(token) {
-                        conn.in_flight = true;
-                    }
-                    return;
-                }
-                Err(rejected) => {
-                    // Shed on the reactor thread: a typed fast-reject
-                    // costs one encode and one buffered write, never a
-                    // worker slot.
-                    counter("rsj_serve_shed_total").inc();
-                    let response = Response::error_traced(
-                        ErrorKind::Overloaded,
-                        format!(
-                            "admission queue above its high watermark ({} queued ≥ {}); retry with backoff",
-                            shared.admission.depth(),
-                            shared.admission.config().high_watermark
-                        ),
-                        rejected.client_trace_id,
-                    )
-                    .with_version(rejected.version);
-                    self.queue_direct_response(token, &response);
-                    return;
-                }
+            }
+            Err(rejected) => {
+                // Shed on the reactor thread: a typed fast-reject
+                // costs one encode and one buffered write, never a
+                // worker slot.
+                counter("rsj_serve_shed_total").inc();
+                let response = Response::error_traced(
+                    ErrorKind::Overloaded,
+                    format!(
+                        "admission queue above its high watermark ({} queued ≥ {}); retry with backoff",
+                        shared.admission.depth(),
+                        shared.admission.config().high_watermark
+                    ),
+                    rejected.client_trace_id,
+                )
+                .with_version(rejected.version);
+                self.queue_direct_response(token, &response);
             }
         }
     }
@@ -1195,66 +1181,19 @@ fn open_journal(durability: &DurabilityConfig) -> std::io::Result<JournalState> 
     })
 }
 
-/// One worker: dequeue a batch, group same-table plans adjacently, and
-/// handle each, absorbing handler panics so a poisoned request (or an
-/// injected chaos panic) never shrinks the pool.
+/// One worker: dequeue requests one at a time and handle each,
+/// absorbing handler panics so a poisoned request (or an injected chaos
+/// panic) never shrinks the pool.
 fn worker_loop(shared: &Shared) {
-    let batch = shared.config.batch.max(1);
     loop {
         match shared.admission.pop(READ_POLL) {
-            Pop::Item(first) => {
-                let mut items = vec![first];
-                while items.len() < batch {
-                    match shared.admission.try_pop() {
-                        Some(item) => items.push(item),
-                        None => break,
-                    }
-                }
+            Pop::Item(item) => {
                 queue_depth_gauge(shared);
-                if items.len() > 1 {
-                    // Stable decorate-sort: plan requests over the same
-                    // (distribution, cost) land adjacently so consecutive
-                    // solves reuse one warm discretization table;
-                    // non-plan ops sort first in FIFO order.
-                    let mut keyed: Vec<(Option<String>, usize, WorkItem)> = items
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, item)| (table_order_key(&item), i, item))
-                        .collect();
-                    keyed.sort_by(|a, b| (a.0.as_deref(), a.1).cmp(&(b.0.as_deref(), b.1)));
-                    items = keyed.into_iter().map(|(_, _, item)| item).collect();
-                }
-                for item in items {
-                    process_item(shared, item);
-                }
+                process_item(shared, item);
             }
             Pop::TimedOut => {}
             Pop::Closed => break,
         }
-    }
-}
-
-/// The batch-grouping key: identical keys mean the solves share the same
-/// cached discretization (distribution + exact cost bits), so
-/// running them back-to-back makes every solve after the first warm.
-fn table_order_key(item: &WorkItem) -> Option<String> {
-    match &item.decoded {
-        Ok(Request::Plan {
-            distribution, cost, ..
-        }) => {
-            let dist = serde_json::to_string(distribution).ok()?;
-            let cost = match cost {
-                Some(c) => format!(
-                    "{:x},{:x},{:x}",
-                    c.alpha.to_bits(),
-                    c.beta.to_bits(),
-                    c.gamma.to_bits()
-                ),
-                None => "default".to_string(),
-            };
-            Some(format!("{dist}|{cost}"))
-        }
-        _ => None,
     }
 }
 
@@ -1316,7 +1255,9 @@ fn handle_item(shared: &Shared, item: WorkItem) -> WorkResult {
     // sent one, or the server-minted id when tracing is on.
     let trace_id = timeline.trace_id().or_else(|| client_trace_id.clone());
     let (response, is_shutdown) = dispatch(shared, decoded, base, &mut timeline);
-    let response = response.with_trace_id(trace_id.clone()).with_version(version);
+    let response = response
+        .with_trace_id(trace_id.clone())
+        .with_version(version);
     if let Response::Error { kind, .. } = &response {
         counter("rsj_serve_errors_total").inc();
         if *kind == ErrorKind::DeadlineExceeded {
@@ -1541,35 +1482,16 @@ fn dispatch(
             trace,
             ..
         } => {
-            // A recovering server sheds plan work with a typed
-            // `not_ready`: answering from a half-warm cache would turn
-            // guaranteed hits into misses and double-solve the backlog.
-            if !shared.is_recovered() {
-                counter("rsj_serve_not_ready_total").inc();
-                return (
-                    Response::error(ErrorKind::NotReady, not_ready_message(shared)),
-                    false,
-                );
-            }
-            let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
-            let mut response = handle_plan(
-                shared,
+            let request = PlanRequest {
                 distribution,
                 cost,
                 solver,
                 seed,
                 simulate,
-                deadline,
-                timeline,
-            );
-            // The `write` span can't be in this snapshot (the response is
-            // serialized after it's built); the ring's copy of the same
-            // trace, pushed after the write completes, has it.
-            if trace {
-                if let Response::Plan { timeline: slot, .. } = &mut response {
-                    *slot = timeline.snapshot("plan");
-                }
-            }
+            };
+            let response = plan_op(shared, base, deadline_ms, trace, timeline, |d, t| {
+                handle_plan(shared, &request, d, t)
+            });
             (response, false)
         }
         Request::PlanBatch {
@@ -1578,24 +1500,45 @@ fn dispatch(
             trace,
             ..
         } => {
-            if !shared.is_recovered() {
-                counter("rsj_serve_not_ready_total").inc();
-                return (
-                    Response::error(ErrorKind::NotReady, not_ready_message(shared)),
-                    false,
-                );
-            }
-            // One batch-level deadline anchors every item's cancellation.
-            let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
-            let mut response = handle_plan_batch(shared, items, deadline, timeline);
-            if trace {
-                if let Response::PlanBatch { timeline: slot, .. } = &mut response {
-                    *slot = timeline.snapshot("plan_batch");
-                }
-            }
+            let response = plan_op(shared, base, deadline_ms, trace, timeline, |d, t| {
+                handle_plan_batch(shared, &items, d, t)
+            });
             (response, false)
         }
     }
+}
+
+/// The frame shared by both plan ops: shed with a typed `not_ready`
+/// while recovering, anchor the deadline at `base`, run `answer`, and
+/// embed the timeline snapshot when the request asked for one.
+fn plan_op(
+    shared: &Shared,
+    base: Instant,
+    deadline_ms: Option<u64>,
+    trace: bool,
+    timeline: &mut rsj_obs::Timeline,
+    answer: impl FnOnce(Option<Instant>, &mut rsj_obs::Timeline) -> Response,
+) -> Response {
+    // A recovering server sheds plan work: answering from a half-warm
+    // cache would turn guaranteed hits into misses and double-solve the
+    // backlog.
+    if !shared.is_recovered() {
+        counter("rsj_serve_not_ready_total").inc();
+        return Response::error(ErrorKind::NotReady, not_ready_message(shared));
+    }
+    let deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
+    let mut response = answer(deadline, timeline);
+    // The `write` span can't be in this snapshot (the response is
+    // serialized after it's built); the ring's copy of the same trace,
+    // pushed after the write completes, has it.
+    if trace {
+        match &mut response {
+            Response::Plan { timeline: slot, .. } => *slot = timeline.snapshot("plan"),
+            Response::PlanBatch { timeline: slot, .. } => *slot = timeline.snapshot("plan_batch"),
+            _ => {}
+        }
+    }
+    response
 }
 
 fn not_ready_message(shared: &Shared) -> String {
@@ -1623,233 +1566,190 @@ fn full_cache_key(planner: &Planner, simulate: Option<SimulateOptions>) -> Optio
     Some(format!("{base}|sim={sim}"))
 }
 
-fn deadline_response(deadline: Instant) -> Response {
-    Response::error(
+fn deadline_exceeded(deadline: Instant) -> (ErrorKind, String) {
+    (
         ErrorKind::DeadlineExceeded,
         format!("deadline expired {} ms ago", deadline.elapsed().as_millis()),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Answers a `plan` op through [`plan_item`].
 fn handle_plan(
     shared: &Shared,
-    distribution: DistSpec,
-    cost: Option<CostModel>,
-    solver: SolverSpec,
-    seed: Option<u64>,
-    simulate: Option<SimulateOptions>,
+    request: &PlanRequest,
     deadline: Option<Instant>,
     timeline: &mut rsj_obs::Timeline,
 ) -> Response {
-    let started = Instant::now();
-    // Shed-at-dequeue: a request whose deadline lapsed while queued is
-    // dead on arrival; answering it would only waste a solver slot.
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return deadline_response(d);
-        }
-    }
-    let solver = match seed {
-        Some(seed) => solver.with_seed(seed),
-        None => solver,
-    };
-    let mut builder = Planner::builder().distribution(distribution).solver(solver);
-    if let Some(cost) = cost {
-        builder = builder.cost_rates(cost.alpha, cost.beta, cost.gamma);
-    }
-    if let Some(simulate) = simulate {
-        builder = builder.simulate(simulate);
-    }
-    let planner = match builder.build() {
-        Ok(planner) => planner,
-        Err(e) => return Response::error(classify(&e), e.to_string()),
-    };
-    let build_ended = Instant::now();
-    timeline.record_span("build", started, build_ended);
-    let build_seconds = (build_ended - started).as_secs_f64();
-
-    let key = full_cache_key(&planner, simulate);
-    let cached = timeline.time("cache_lookup", || {
-        key.as_deref().and_then(|key| shared.cache.get(key))
-    });
-    if let Some(cached) = cached {
-        counter("rsj_serve_cache_hits_total").inc();
-        return plan_response(
-            &planner,
-            (*cached).clone(),
-            Origin::Cached,
-            build_seconds,
-            0.0,
-            started,
-        );
-    }
-    counter("rsj_serve_cache_misses_total").inc();
-
-    let solve_started = Instant::now();
-    let group = planner.group_key();
-    let flighted = match key.as_deref() {
-        // Identical concurrent misses coalesce onto one solver run, and
-        // *same-table* concurrent misses (identical group key: same
-        // distribution and cost, different solver) serialize so their
-        // leaders share one warm discretization table. The abandoned
-        // value is what followers see if the leader panics (e.g. an
-        // injected chaos fault) — typed, not a hang.
-        Some(key) => shared.flights.run_grouped(
-            key,
-            group.as_deref(),
-            deadline,
-            Err((ErrorKind::Internal, "in-flight solve abandoned".to_string())),
-            || solve(shared, &planner, key, deadline, timeline),
-        ),
-        // Uncacheable requests have no stable identity to coalesce on.
-        None => Flighted::Led(solve_uncached(&planner, deadline, timeline)),
-    };
-    let solve_seconds = solve_started.elapsed().as_secs_f64();
-    let (outcome, origin) = match flighted {
-        Flighted::Led(outcome) => {
-            counter("rsj_serve_singleflight_leaders_total").inc();
-            (outcome, Origin::Computed)
-        }
-        Flighted::Joined(outcome) => {
-            counter("rsj_serve_singleflight_coalesced_total").inc();
-            // A follower's wall time here is spent parked on the
-            // leader's flight, not solving.
-            timeline.record_span("singleflight_wait", solve_started, Instant::now());
-            (outcome, Origin::Coalesced)
-        }
-        Flighted::TimedOut => {
-            let d = deadline.expect("only a deadline can time a follower out");
-            return deadline_response(d);
-        }
-    };
-    match outcome {
-        Ok(plan) => plan_response(
-            &planner,
-            (*plan).clone(),
-            origin,
-            build_seconds,
-            solve_seconds,
-            started,
-        ),
+    match plan_item(shared, request, deadline, timeline, None) {
+        Ok(planned) => Response::Plan {
+            v: PROTOCOL_VERSION,
+            provenance: make_provenance(request, planned.origin),
+            timings: planned.timings,
+            plan: (*planned.plan).clone(),
+            trace_id: None,
+            timeline: None,
+        },
         Err((kind, message)) => Response::error(kind, message),
     }
 }
 
-/// Answers a `plan_batch` op: cache hits answer per item, the misses
-/// solve through [`Planner::plan_many_traced`] — which sorts them by
-/// cache-key group so every same-table solve after the first reuses the
-/// warm discretization table — and each solved plan is journaled before
-/// the batch response is released.
+/// Answers a `plan_batch` op: a frame whose deadline already lapsed is
+/// shed whole; otherwise every item goes through [`plan_item`] in input
+/// order, failing or succeeding in its own slot.
 fn handle_plan_batch(
     shared: &Shared,
-    items: Vec<PlanRequest>,
+    items: &[PlanRequest],
     deadline: Option<Instant>,
     timeline: &mut rsj_obs::Timeline,
 ) -> Response {
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return deadline_response(d);
-        }
+    if let Some(d) = deadline.filter(|d| Instant::now() >= *d) {
+        let (kind, message) = deadline_exceeded(d);
+        return Response::error(kind, message);
     }
-    let count = items.len();
-    let mut results: Vec<Option<BatchItem>> = (0..count).map(|_| None).collect();
-    let mut misses: Vec<(usize, PlanRequest, Option<String>)> = Vec::new();
-    let mut hits = 0u64;
-    timeline.time("cache_lookup", || {
-        for (i, item) in items.into_iter().enumerate() {
-            match item.planner() {
-                Err(e) => results[i] = Some(BatchItem::error(classify(&e), e.to_string())),
-                Ok(planner) => {
-                    let key = full_cache_key(&planner, item.simulate);
-                    if let Some(hit) = key.as_deref().and_then(|k| shared.cache.get(k)) {
-                        hits += 1;
-                        results[i] = Some(BatchItem::Plan {
-                            plan: (*hit).clone(),
-                            provenance: make_provenance(item.solver.name(), true, false),
-                        });
-                        continue;
-                    }
-                    misses.push((i, item, key));
-                }
-            }
-        }
-    });
-    // One registry lookup per counter for the whole batch, not per item.
-    if hits > 0 {
-        counter("rsj_serve_cache_hits_total").add(hits);
-    }
-    if !misses.is_empty() {
-        counter("rsj_serve_cache_misses_total").add(misses.len() as u64);
-        counter("rsj_serve_solver_invocations_total").add(misses.len() as u64);
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::none(),
-        };
-        let requests: Vec<PlanRequest> = misses.iter().map(|(_, req, _)| req.clone()).collect();
-        let solved = Planner::plan_many_traced(&requests, &cancel, timeline);
-        // Append-before-response, exactly like the singleton path: every
-        // plan in the batch is journaled before any client hears it.
-        timeline.time("journal_append", || {
-            for ((i, req, key), outcome) in misses.into_iter().zip(solved) {
-                results[i] = Some(match outcome {
-                    Ok(plan) => {
-                        let plan = Arc::new(plan);
-                        if let Some(key) = key {
-                            shared.cache.insert(key.clone(), Arc::clone(&plan));
-                            shared.journal_append(&key, &plan);
-                        }
-                        BatchItem::Plan {
-                            plan: (*plan).clone(),
-                            provenance: make_provenance(req.solver.name(), false, false),
-                        }
-                    }
-                    Err(e) => BatchItem::error(classify(&e), e.to_string()),
-                });
-            }
-        });
-    }
+    let results = items
+        .iter()
+        .enumerate()
+        .map(
+            |(i, request)| match plan_item(shared, request, deadline, timeline, Some(i)) {
+                Ok(planned) => BatchItem::Plan {
+                    plan: (*planned.plan).clone(),
+                    provenance: make_provenance(request, planned.origin),
+                },
+                Err((kind, message)) => BatchItem::error(kind, message),
+            },
+        )
+        .collect();
     Response::PlanBatch {
         v: PROTOCOL_VERSION_MAX,
-        results: results
-            .into_iter()
-            .map(|r| r.expect("every batch item answered"))
-            .collect(),
+        results,
         trace_id: None,
         timeline: None,
     }
 }
 
-/// Runs the solver as a single-flight leader: cancellable by `deadline`,
-/// publishing into the cache on success.
+/// What [`plan_item`] produced: the plan, how it reached this response,
+/// and where its time went.
+struct Planned {
+    plan: Arc<Plan>,
+    origin: Origin,
+    timings: Timings,
+}
+
+/// The one plan pipeline, taken by a `plan` op and by every `plan_batch`
+/// item: build the planner, shed a request whose deadline lapsed while
+/// queued, answer from the cache, else coalesce onto an identical
+/// in-flight solve or lead one ([`solve`]). `item` is the request's index
+/// in its batch; traced batch items carry it on their `cache_lookup` and
+/// `solve` stages.
+fn plan_item(
+    shared: &Shared,
+    request: &PlanRequest,
+    deadline: Option<Instant>,
+    timeline: &mut rsj_obs::Timeline,
+    item: Option<usize>,
+) -> Result<Planned, (ErrorKind, String)> {
+    let started = Instant::now();
+    // Only a recording timeline is worth formatting the item label for.
+    let item = item.filter(|_| timeline.is_enabled());
+    let planner = request
+        .planner()
+        .map_err(|e| (classify(&e), e.to_string()))?;
+    let build_ended = Instant::now();
+    timeline.record_span("build", started, build_ended);
+    // Shed-at-dequeue: a request whose deadline lapsed while queued is
+    // dead on arrival; answering it would only waste a solver slot.
+    if let Some(d) = deadline.filter(|d| build_ended >= *d) {
+        return Err(deadline_exceeded(d));
+    }
+
+    let key = full_cache_key(&planner, request.simulate);
+    let cached = timeline.time("cache_lookup", || {
+        key.as_deref().and_then(|key| shared.cache.get(key))
+    });
+    if let Some(i) = item {
+        timeline.annotate_last("item", i.to_string());
+    }
+    let solve_started = Instant::now();
+    let (plan, origin) = match cached {
+        Some(plan) => {
+            counter("rsj_serve_cache_hits_total").inc();
+            (plan, Origin::Cached)
+        }
+        None => {
+            counter("rsj_serve_cache_misses_total").inc();
+            let flighted = match key.as_deref() {
+                // Identical concurrent misses coalesce onto one solver
+                // run. The abandoned value is what followers see if the
+                // leader panics (e.g. an injected chaos fault) — typed,
+                // not a hang.
+                Some(key) => shared.flights.run(
+                    key,
+                    deadline,
+                    Err((ErrorKind::Internal, "in-flight solve abandoned".to_string())),
+                    || solve(shared, &planner, Some(key), deadline, timeline, item),
+                ),
+                // Uncacheable requests have no stable identity to
+                // coalesce on.
+                None => Flighted::Led(solve(shared, &planner, None, deadline, timeline, item)),
+            };
+            match flighted {
+                Flighted::Led(outcome) => {
+                    counter("rsj_serve_singleflight_leaders_total").inc();
+                    (outcome?, Origin::Computed)
+                }
+                Flighted::Joined(outcome) => {
+                    counter("rsj_serve_singleflight_coalesced_total").inc();
+                    // A follower's wall time here is spent parked on the
+                    // leader's flight, not solving.
+                    timeline.record_span("singleflight_wait", solve_started, Instant::now());
+                    (outcome?, Origin::Coalesced)
+                }
+                Flighted::TimedOut => {
+                    let d = deadline.expect("only a deadline can time a follower out");
+                    return Err(deadline_exceeded(d));
+                }
+            }
+        }
+    };
+    let solve_seconds = match origin {
+        Origin::Cached => 0.0,
+        Origin::Computed | Origin::Coalesced => solve_started.elapsed().as_secs_f64(),
+    };
+    Ok(Planned {
+        plan,
+        origin,
+        timings: Timings {
+            build_seconds: (build_ended - started).as_secs_f64(),
+            solve_seconds,
+            total_seconds: started.elapsed().as_secs_f64(),
+        },
+    })
+}
+
+/// Runs the solver, cancellable by `deadline`. A cacheable plan (`key`)
+/// is published into the cache and journaled before anyone hears it.
 fn solve(
     shared: &Shared,
     planner: &Planner,
-    key: &str,
+    key: Option<&str>,
     deadline: Option<Instant>,
     timeline: &mut rsj_obs::Timeline,
-) -> SolveOutcome {
-    let plan = solve_uncached(planner, deadline, timeline)?;
-    shared.cache.insert(key.to_string(), Arc::clone(&plan));
-    // Append-before-response: once the client hears this answer, the
-    // record is already flushed to the OS, so it survives `kill -9`.
-    timeline.time("journal_append", || shared.journal_append(key, &plan));
-    Ok(plan)
-}
-
-fn solve_uncached(
-    planner: &Planner,
-    deadline: Option<Instant>,
-    timeline: &mut rsj_obs::Timeline,
+    item: Option<usize>,
 ) -> SolveOutcome {
     counter("rsj_serve_solver_invocations_total").inc();
-    let cancel = match deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::none(),
-    };
-    match planner.plan_traced(&cancel, timeline) {
-        Ok(plan) => Ok(Arc::new(plan)),
-        Err(e) => Err((classify(&e), e.to_string())),
+    let cancel = deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
+    let solved = planner.plan_traced(&cancel, timeline);
+    if let Some(i) = item {
+        timeline.annotate_stage("solve", "item", i.to_string());
     }
+    let plan = Arc::new(solved.map_err(|e| (classify(&e), e.to_string()))?);
+    if let Some(key) = key {
+        shared.cache.insert(key.to_string(), Arc::clone(&plan));
+        // Append-before-response: once the client hears this answer, the
+        // record is already flushed to the OS, so it survives `kill -9`.
+        timeline.time("journal_append", || shared.journal_append(key, &plan));
+    }
+    Ok(plan)
 }
 
 /// How a plan reached this response, for [`Provenance`].
@@ -1860,43 +1760,17 @@ enum Origin {
     Coalesced,
 }
 
-/// Response provenance shared by the singleton and batch paths. The
-/// protocol field is restamped by `with_version` to the client's
+/// Response provenance for a `plan` response or a `plan_batch` item.
+/// The protocol field is restamped by `with_version` to the client's
 /// negotiated version before the response leaves the worker.
-fn make_provenance(solver: &str, cached: bool, coalesced: bool) -> Provenance {
+fn make_provenance(request: &PlanRequest, origin: Origin) -> Provenance {
     Provenance {
         server: concat!("rsj-serve/", env!("CARGO_PKG_VERSION")).to_string(),
         protocol: PROTOCOL_VERSION,
-        solver: solver.to_string(),
+        solver: request.solver.name().to_string(),
         threads: rsj_par::Parallelism::current().threads(),
-        cached,
-        coalesced,
-    }
-}
-
-fn plan_response(
-    planner: &Planner,
-    plan: Plan,
-    origin: Origin,
-    build_seconds: f64,
-    solve_seconds: f64,
-    started: Instant,
-) -> Response {
-    Response::Plan {
-        v: PROTOCOL_VERSION,
-        provenance: make_provenance(
-            planner.solver_spec().name(),
-            matches!(origin, Origin::Cached),
-            matches!(origin, Origin::Coalesced),
-        ),
-        timings: Timings {
-            build_seconds,
-            solve_seconds,
-            total_seconds: started.elapsed().as_secs_f64(),
-        },
-        plan,
-        trace_id: None,
-        timeline: None,
+        cached: matches!(origin, Origin::Cached),
+        coalesced: matches!(origin, Origin::Coalesced),
     }
 }
 
@@ -1996,38 +1870,6 @@ mod tests {
         );
     }
 
-    fn item_for(request: Request) -> WorkItem {
-        WorkItem {
-            token: 0,
-            conn_id: 0,
-            req_index: 0,
-            decoded: Ok(request),
-            version: PROTOCOL_VERSION,
-            base: Instant::now(),
-            client_trace_id: None,
-            op: "plan",
-            started: Instant::now(),
-            enqueued_at: Instant::now(),
-            timeline: rsj_obs::Timeline::disabled(),
-        }
-    }
-
-    #[test]
-    fn table_order_key_groups_by_distribution_and_cost_only() {
-        let exp = DistSpec::Exponential { lambda: 1.0 };
-        let logn = DistSpec::LogNormal {
-            mu: 3.0,
-            sigma: 0.5,
-        };
-        let a = table_order_key(&item_for(Request::plan(exp.clone())));
-        let b = table_order_key(&item_for(Request::plan(exp)));
-        let c = table_order_key(&item_for(Request::plan(logn)));
-        assert!(a.is_some());
-        assert_eq!(a, b, "same distribution and cost share a table group");
-        assert_ne!(a, c, "different distributions never share");
-        assert_eq!(table_order_key(&item_for(Request::ping())), None);
-    }
-
     #[test]
     fn ingest_splits_lines_and_rejects_byte_drip_overflow() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -2053,7 +1895,8 @@ mod tests {
             finish: None,
             interest: Interest::READABLE,
         };
-        conn.read_buf.extend_from_slice(b"{\"op\":\"ping\"}\n\n{\"op\":");
+        conn.read_buf
+            .extend_from_slice(b"{\"op\":\"ping\"}\n\n{\"op\":");
         assert!(matches!(
             ingest_lines(&mut conn, 64, Duration::from_secs(30)),
             Ingest::Ok

@@ -14,7 +14,7 @@
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use reservation_strategies::Planner;
@@ -22,7 +22,8 @@ use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::journal::{frame_spans, read_log_bytes, JOURNAL_FILE};
 use rsj_serve::{
-    Client, CorruptionPolicy, DurabilityConfig, ErrorKind, Request, Response, Server, ServerConfig,
+    BatchItem, Client, CorruptionPolicy, DurabilityConfig, ErrorKind, PlanRequest, Request,
+    Response, Server, ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -119,6 +120,14 @@ fn plan_digest_and_cached(response: &Response) -> (String, bool) {
         } => (plan.digest.clone(), provenance.cached),
         other => panic!("expected a plan, got {other:?}"),
     }
+}
+
+fn counter_value(prometheus: &str, name: &str) -> u64 {
+    prometheus
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .map(|v| v.trim().parse().expect("counter value"))
+        .unwrap_or(0)
 }
 
 /// Child-process entry for the kill -9 test: runs a durable server in the
@@ -409,6 +418,117 @@ fn plan_requests_are_shed_with_not_ready_until_recovery_completes() {
     let response = client.call(&dp_request(0)).expect("plan after recovery");
     let (digest, _) = plan_digest_and_cached(&response);
     assert_eq!(digest, offline_digest(0));
+
+    handle.signal();
+    let _ = Client::connect(addr);
+    join.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The differential test: a plan reaches a client as a singleton `plan`,
+/// a v2 `plan_batch` item, a cache hit, or a journal-recovered plan, and
+/// every one of them is bit-identical to offline `Planner::plan` — also
+/// while a second client sends identical singleton misses concurrently.
+/// Each key is solved exactly once, whichever path asked first.
+#[test]
+fn batch_singleton_cached_and_recovered_plans_match_offline() {
+    let _guard = registry_lock();
+    let dir = temp_dir("differential");
+    const KEYS: usize = 8;
+    let batch_keys: Vec<usize> = (0..KEYS).step_by(2).collect();
+    let digest_of = |response: &Response| plan_digest_and_cached(response).0;
+    {
+        let (addr, handle, join) = spawn_durable_server(&dir, 64, None);
+        wait_until_ready(addr, Duration::from_secs(30));
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let before = client.metrics().expect("metrics");
+
+        // A second client re-asks every key as a singleton, released
+        // together with the batch so its misses race the batch items.
+        let start = Arc::new(Barrier::new(2));
+        let duplicates = {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client
+                    .set_timeout(Some(Duration::from_secs(30)))
+                    .expect("timeout");
+                start.wait();
+                for i in 0..KEYS {
+                    let response = client.call(&dp_request(i)).expect("duplicate plan");
+                    assert_eq!(digest_of(&response), offline_digest(i), "duplicate {i}");
+                }
+            })
+        };
+        let items = batch_keys
+            .iter()
+            .map(|&i| PlanRequest::new(dist_for(i)).with_solver(dp_solver()))
+            .collect();
+        start.wait();
+        let results = client.plan_batch(items).expect("plan_batch");
+        assert_eq!(results.len(), batch_keys.len());
+        for (&i, result) in batch_keys.iter().zip(&results) {
+            match result {
+                BatchItem::Plan { plan, .. } => {
+                    assert_eq!(plan.digest, offline_digest(i), "batch item {i}");
+                }
+                other => panic!("batch item {i}: expected a plan, got {other:?}"),
+            }
+        }
+        for i in (1..KEYS).step_by(2) {
+            let response = client.call(&dp_request(i)).expect("singleton plan");
+            assert_eq!(digest_of(&response), offline_digest(i), "singleton {i}");
+        }
+        duplicates.join().expect("duplicate client");
+
+        // Both solved paths are now cache hits, as singletons and as
+        // batch items alike.
+        for i in 0..KEYS {
+            let (digest, cached) = plan_digest_and_cached(&client.call(&dp_request(i)).unwrap());
+            assert!(cached, "plan {i} should be a cache hit");
+            assert_eq!(digest, offline_digest(i), "cached {i}");
+        }
+        let again = client
+            .plan_batch(vec![PlanRequest::new(dist_for(1)).with_solver(dp_solver())])
+            .expect("cached batch");
+        match &again[0] {
+            BatchItem::Plan { plan, provenance } => {
+                assert!(provenance.cached, "batch item should be a cache hit");
+                assert_eq!(plan.digest, offline_digest(1));
+            }
+            other => panic!("expected a cached plan item, got {other:?}"),
+        }
+        let after = client.metrics().expect("metrics");
+        let solves = counter_value(&after, "rsj_serve_solver_invocations_total")
+            - counter_value(&before, "rsj_serve_solver_invocations_total");
+        assert_eq!(solves, KEYS as u64, "every key solved exactly once");
+
+        handle.signal();
+        let _ = Client::connect(addr);
+        join.join().expect("server thread").expect("clean exit");
+    }
+
+    // Restart on the same journal: every key is a warm, recovered hit.
+    let (addr, handle, join) = spawn_durable_server(&dir, 64, None);
+    wait_until_ready(addr, Duration::from_secs(30));
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let recovery = client
+        .health()
+        .expect("health")
+        .recovery
+        .expect("recovery stats");
+    assert_eq!(recovery.recovered_records, KEYS as u64, "{recovery:?}");
+    for i in 0..KEYS {
+        let (digest, cached) = plan_digest_and_cached(&client.call(&dp_request(i)).unwrap());
+        assert!(cached, "plan {i} was not served from the recovered cache");
+        assert_eq!(digest, offline_digest(i), "recovered {i}");
+    }
 
     handle.signal();
     let _ = Client::connect(addr);

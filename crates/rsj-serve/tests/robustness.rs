@@ -14,8 +14,8 @@ use reservation_strategies::plan_digest;
 use rsj_core::{DiscretizedDp, SolverSpec, Strategy};
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    encode, AdmissionConfig, BreakerConfig, ChaosPolicy, Client, ClientError, ErrorKind, Request,
-    ResilientClient, Response, RetryPolicy, Server, ServerConfig,
+    encode, AdmissionConfig, BatchItem, BreakerConfig, ChaosPolicy, Client, ClientError, ErrorKind,
+    PlanRequest, Request, ResilientClient, Response, RetryPolicy, Server, ServerConfig,
 };
 
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -240,36 +240,50 @@ fn concurrent_identical_misses_coalesce_onto_one_solve() {
     let hits_before = counter_value(&before, "rsj_serve_cache_hits_total");
 
     // A parameterization unique to this test (so the cache starts cold),
-    // slow enough that a barrier-released burst lands inside one flight.
-    let request = Request::plan_with(
-        DistSpec::LogNormal {
-            mu: 2.53,
-            sigma: 0.41,
-        },
-        SolverSpec::Dp {
-            scheme: DiscretizationScheme::EqualProbability,
-            n: 900,
-            epsilon: 1e-7,
-            monotone: true,
-        },
-    );
+    // solved by the exact O(n²) DP pass so a barrier-released burst
+    // lands inside one flight. Half the burst asks as a `plan`, half as
+    // a one-item v2 `plan_batch`: both take the same pipeline, so they
+    // share one flight too.
+    let item = PlanRequest::new(DistSpec::LogNormal {
+        mu: 2.53,
+        sigma: 0.41,
+    })
+    .with_solver(SolverSpec::Dp {
+        scheme: DiscretizationScheme::EqualProbability,
+        n: 900,
+        epsilon: 1e-7,
+        monotone: false,
+    });
+    let single = Request::plan_with(item.distribution.clone(), item.solver.clone());
+    let batch = Request::plan_batch(vec![item]);
     let start = Arc::new(Barrier::new(CLIENTS));
     let burst: Vec<_> = (0..CLIENTS)
         .map(|i| {
-            let request = request.clone();
+            let request = if i % 2 == 0 {
+                single.clone()
+            } else {
+                batch.clone()
+            };
             let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 start.wait();
-                match client
+                let response = client
                     .call(&request)
-                    .unwrap_or_else(|e| panic!("client {i}: {e}"))
-                {
+                    .unwrap_or_else(|e| panic!("client {i}: {e}"));
+                let (plan, provenance) = match response {
                     Response::Plan {
                         plan, provenance, ..
-                    } => (plan.digest, provenance.cached, provenance.coalesced),
+                    } => (plan, provenance),
+                    Response::PlanBatch { mut results, .. } if results.len() == 1 => {
+                        match results.remove(0) {
+                            BatchItem::Plan { plan, provenance } => (plan, provenance),
+                            other => panic!("client {i}: expected a plan item, got {other:?}"),
+                        }
+                    }
                     other => panic!("client {i}: expected plan, got {other:?}"),
-                }
+                };
+                (plan.digest, provenance.cached, provenance.coalesced)
             })
         })
         .collect();

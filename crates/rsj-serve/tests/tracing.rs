@@ -15,8 +15,8 @@ use reservation_strategies::Planner;
 use rsj_core::SolverSpec;
 use rsj_dist::{DiscretizationScheme, DistSpec};
 use rsj_serve::{
-    encode, AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, Request, Response,
-    Server, ServerConfig,
+    encode, AdmissionConfig, ChaosPolicy, Client, DurabilityConfig, ErrorKind, PlanRequest,
+    Request, Response, Server, ServerConfig,
 };
 
 /// A valid 128-bit trace id in the canonical 32-hex form.
@@ -208,7 +208,9 @@ fn overload_sheds_echo_the_client_trace_id() {
     // Fill the one queue slot with a real request (admission is
     // per-request now), then give the reactor time to park it.
     let mut filler = std::net::TcpStream::connect(addr).expect("filler conn");
-    filler.write_all(line.as_bytes()).expect("write filler ping");
+    filler
+        .write_all(line.as_bytes())
+        .expect("write filler ping");
     filler.flush().expect("flush filler ping");
     std::thread::sleep(Duration::from_millis(200));
 
@@ -294,6 +296,73 @@ fn traced_plans_carry_a_timeline_that_explains_the_request() {
         .plan()
         .expect("offline plan");
     assert_eq!(plan.digest, offline.digest);
+
+    stop_server(handle, addr, join);
+}
+
+/// A traced `plan_batch` explains itself item by item: each solved item
+/// records the same `solve` stage as a singleton — with its `dp_path`
+/// and `eval_table` args — plus the item's batch index, and a cache hit
+/// shows as an indexed `cache_lookup` with no solve.
+#[test]
+fn traced_batch_items_record_indexed_solve_stages() {
+    let _guard = registry_lock();
+    let (addr, handle, join) = spawn_server(traced_config(8));
+    let mut client = Client::connect(addr).expect("connect");
+
+    let law = |mu: f64| PlanRequest::new(DistSpec::LogNormal { mu, sigma: 0.35 });
+    let items = vec![
+        law(2.71).with_solver(fast_dp()),
+        law(2.72).with_solver(fast_dp()),
+        // Identical to item 0, which is cached by the time it runs.
+        law(2.71).with_solver(fast_dp()),
+    ];
+    let request = Request::plan_batch(items).with_trace();
+    let Response::PlanBatch {
+        results, timeline, ..
+    } = client.call(&request).expect("plan_batch")
+    else {
+        panic!("expected a plan_batch response");
+    };
+    assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+    let timeline = timeline.expect("trace: true returns the server-side timeline");
+    assert_eq!(timeline.op, "plan_batch");
+
+    let arg = |stage: &rsj_obs::StageRecord, key: &str| {
+        stage
+            .args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let solves: Vec<_> = timeline
+        .stages
+        .iter()
+        .filter(|s| s.name == "solve")
+        .collect();
+    assert_eq!(solves.len(), 2, "one solve per miss: {timeline:?}");
+    for (index, solve) in solves.iter().enumerate() {
+        assert_eq!(arg(solve, "item"), Some(index.to_string()), "{solve:?}");
+        assert_eq!(
+            arg(solve, "dp_path").as_deref(),
+            Some("monotone"),
+            "{solve:?}"
+        );
+        assert!(
+            matches!(arg(solve, "eval_table").as_deref(), Some("warm" | "cold")),
+            "{solve:?}"
+        );
+    }
+    let lookups: Vec<_> = timeline
+        .stages
+        .iter()
+        .filter(|s| s.name == "cache_lookup")
+        .map(|s| arg(s, "item"))
+        .collect();
+    assert_eq!(
+        lookups,
+        vec![Some("0".into()), Some("1".into()), Some("2".into())]
+    );
 
     stop_server(handle, addr, join);
 }

@@ -313,119 +313,32 @@ impl Planner {
         ))
     }
 
-    /// The `distribution + cost` prefix of [`cache_key`](Self::cache_key):
-    /// two planners with the same group key discretize the same law, so
-    /// solving them back-to-back reuses one warm cached discretization
-    /// regardless of which solver each dispatches to. `None` when the distribution has
-    /// no faithful cache key (such planners never share).
-    pub fn group_key(&self) -> Option<String> {
-        let key = self.cache_key()?;
-        Some(match key.rsplit_once('|') {
-            Some((prefix, _solver)) => prefix.to_string(),
-            None => key,
-        })
-    }
-
-    /// Plans a whole batch, sharing one warm cached discretization per
-    /// [`group_key`](Self::group_key) group.
-    ///
-    /// Each item is planned independently — one invalid distribution or a
-    /// mid-batch failure never poisons its neighbours — and results come
-    /// back in input order. Internally the batch is solved in group order
-    /// (items sharing a `distribution + cost` prefix run consecutively) so
-    /// the discretization cache stays warm across a group, which is
-    /// where the batched server op gets its cache-miss throughput.
-    ///
-    /// Every item is bit-for-bit identical to what a standalone
-    /// [`plan`](Self::plan) of the same request returns.
+    /// Plans a whole batch: each item independently, in input order, as
+    /// [`PlanRequest::planner`] followed by [`plan`](Self::plan) — so
+    /// every item is bit-for-bit identical to a standalone `plan()` of
+    /// the same request, and one invalid distribution or a failed solve
+    /// never poisons its neighbours. Items over one law still share a
+    /// warm discretization through `rsj-dist`'s process-wide memo.
     pub fn plan_many(requests: &[PlanRequest]) -> Vec<Result<Plan>> {
-        Self::plan_many_with_cancel(requests, &CancelToken::none())
-    }
-
-    /// [`plan_many`](Self::plan_many) with cooperative cancellation. A
-    /// fired token fails the *remaining* items with
-    /// `CoreError::Cancelled`; already-solved items keep their results.
-    pub fn plan_many_with_cancel(
-        requests: &[PlanRequest],
-        cancel: &CancelToken,
-    ) -> Vec<Result<Plan>> {
-        Self::plan_many_traced(requests, cancel, &mut rsj_obs::Timeline::disabled())
-    }
-
-    /// [`plan_many_with_cancel`](Self::plan_many_with_cancel) that records
-    /// one `item` stage per solved request into `timeline`, annotated with
-    /// the item's batch index, eval-table attribution (`warm`/`cold`) and
-    /// outcome.
-    pub fn plan_many_traced(
-        requests: &[PlanRequest],
-        cancel: &CancelToken,
-        timeline: &mut rsj_obs::Timeline,
-    ) -> Vec<Result<Plan>> {
-        let mut planners: Vec<Option<Result<Planner>>> =
-            requests.iter().map(|r| Some(r.planner())).collect();
-        // Solve in group order: stable sort keeps input order inside a
-        // group and leaves keyless planners at the tail in input order.
-        let keys: Vec<Option<String>> = planners
-            .iter()
-            .map(|p| match p {
-                Some(Ok(planner)) => planner.group_key(),
-                _ => None,
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by(|&a, &b| match (&keys[a], &keys[b]) {
-            (Some(ka), Some(kb)) => ka.cmp(kb).then(a.cmp(&b)),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => a.cmp(&b),
-        });
-        let mut results: Vec<Option<Result<Plan>>> = (0..requests.len()).map(|_| None).collect();
-        for &i in &order {
-            let outcome = match planners[i].take().expect("each item visited once") {
-                Err(e) => Err(e),
-                Ok(planner) => {
-                    rsj_dist::clear_last_eval_source();
-                    let out = timeline.time("item", || planner.plan_with_cancel(cancel));
-                    timeline.annotate_last("item", i.to_string());
-                    if let Some(source) = rsj_dist::last_eval_source() {
-                        timeline.annotate_last("eval_table", source.as_str());
-                    }
-                    match &out {
-                        Ok(plan) => timeline.annotate_last("digest", plan.digest.as_str()),
-                        Err(e) => timeline.annotate_last("error", e.to_string()),
-                    }
-                    out
-                }
-            };
-            results[i] = Some(outcome);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("each item solved once"))
-            .collect()
+        requests.iter().map(|r| r.planner()?.plan()).collect()
     }
 
     /// Computes the reservation sequence and scores it.
     pub fn plan(&self) -> Result<Plan> {
-        self.plan_with_cancel(&CancelToken::none())
+        self.plan_traced(&CancelToken::none(), &mut rsj_obs::Timeline::disabled())
     }
 
-    /// [`plan`](Self::plan) with cooperative cancellation: the token is
-    /// threaded into the solver (polled per DP state / brute-force
-    /// candidate) and checked between the solve, the scoring pass and the
-    /// optional simulation replay. Once it fires the call returns
-    /// `RsjError::Core(CoreError::Cancelled)`; an uncancelled call is
-    /// bit-for-bit identical to [`plan`](Self::plan).
-    pub fn plan_with_cancel(&self, cancel: &CancelToken) -> Result<Plan> {
-        self.plan_traced(cancel, &mut rsj_obs::Timeline::disabled())
-    }
-
-    /// [`plan_with_cancel`](Self::plan_with_cancel) that also records the
-    /// solver's internal phases — `solve`, `score`, `simulate` — into
-    /// `timeline` for per-request tracing. A disabled timeline makes every
-    /// recording call a branch on `None` (no clocks, no allocation), so
-    /// [`plan_with_cancel`](Self::plan_with_cancel) delegates here and the output — including the
-    /// plan digest — is bit-for-bit identical either way.
+    /// [`plan`](Self::plan) with cooperative cancellation and tracing.
+    ///
+    /// The token is threaded into the solver (polled per DP state /
+    /// brute-force candidate) and checked between the solve, the scoring
+    /// pass and the optional simulation replay; once it fires the call
+    /// returns `RsjError::Core(CoreError::Cancelled)`. The solver's
+    /// internal phases — `solve`, `score`, `simulate` — are recorded into
+    /// `timeline`. A disabled timeline makes every recording call a
+    /// branch on `None` (no clocks, no allocation), so `plan()` delegates
+    /// here, and an uncancelled call's output — including the plan
+    /// digest — is bit-for-bit identical either way.
     pub fn plan_traced(
         &self,
         cancel: &CancelToken,
@@ -641,20 +554,21 @@ mod tests {
                 .solver(solver)
                 .build()
                 .unwrap();
+            let untraced = &mut rsj_obs::Timeline::disabled();
             let token = CancelToken::new();
             token.cancel();
             assert_eq!(
-                planner.plan_with_cancel(&token).unwrap_err(),
+                planner.plan_traced(&token, untraced).unwrap_err(),
                 RsjError::Core(rsj_core::CoreError::Cancelled),
             );
             // An expired deadline behaves the same without an explicit cancel.
             let expired = CancelToken::with_deadline(
                 std::time::Instant::now() - std::time::Duration::from_millis(1),
             );
-            assert!(planner.plan_with_cancel(&expired).is_err());
+            assert!(planner.plan_traced(&expired, untraced).is_err());
             // A live token changes nothing: bit-identical to plan().
             let live = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
-            let a = planner.plan_with_cancel(&live).unwrap();
+            let a = planner.plan_traced(&live, untraced).unwrap();
             let b = planner.plan().unwrap();
             assert_eq!(a.digest, b.digest);
             assert_eq!(a.sequence, b.sequence);
@@ -669,16 +583,32 @@ mod tests {
             epsilon: 1e-7,
             monotone: true,
         };
-        // Interleave two groups plus a closed-form item so the grouped
-        // solve order differs from input order.
+        // Two laws interleaved with a closed-form item and a cost change:
+        // the discretization memo is shared across items, the results
+        // must not be.
         let requests = vec![
-            PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 }).with_solver(dp.clone()),
-            PlanRequest::new(DistSpec::LogNormal { mu: 1.0, sigma: 0.25 }).with_solver(dp.clone()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 3.0,
+                sigma: 0.5,
+            })
+            .with_solver(dp.clone()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 1.0,
+                sigma: 0.25,
+            })
+            .with_solver(dp.clone()),
             PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-            PlanRequest::new(DistSpec::LogNormal { mu: 3.0, sigma: 0.5 })
-                .with_solver(dp.clone())
-                .with_cost(CostModel::new(1.0, 0.5, 0.1).unwrap()),
-            PlanRequest::new(DistSpec::LogNormal { mu: 1.0, sigma: 0.25 }).with_solver(dp),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 3.0,
+                sigma: 0.5,
+            })
+            .with_solver(dp.clone())
+            .with_cost(CostModel::new(1.0, 0.5, 0.1).unwrap()),
+            PlanRequest::new(DistSpec::LogNormal {
+                mu: 1.0,
+                sigma: 0.25,
+            })
+            .with_solver(dp),
         ];
         let batch = Planner::plan_many(&requests);
         assert_eq!(batch.len(), requests.len());
@@ -705,59 +635,101 @@ mod tests {
     }
 
     #[test]
-    fn plan_many_traced_records_item_stages_with_indices() {
+    fn plan_many_shares_the_discretization_memo_across_costs() {
+        // The memo is keyed on (law, scheme, n, ε), not on cost: the
+        // second item re-plans the first item's law at a new cost and
+        // must find its discretization warm.
+        let dp = SolverSpec::Dp {
+            scheme: rsj_dist::DiscretizationScheme::EqualTime,
+            n: 157,
+            epsilon: 1e-7,
+            monotone: true,
+        };
+        let law = DistSpec::Weibull {
+            lambda: 1.75,
+            kappa: 0.625,
+        };
         let requests = vec![
-            PlanRequest::new(DistSpec::Exponential { lambda: 1.0 }),
-            PlanRequest::new(DistSpec::Exponential { lambda: 2.0 }),
+            PlanRequest::new(law.clone()).with_solver(dp.clone()),
+            PlanRequest::new(law)
+                .with_solver(dp)
+                .with_cost(CostModel::new(1.0, 0.25, 0.5).unwrap()),
         ];
-        let mut timeline =
-            rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), std::time::Instant::now());
-        let batch = Planner::plan_many_traced(&requests, &CancelToken::none(), &mut timeline);
+        let batch = Planner::plan_many(&requests);
         assert!(batch.iter().all(|r| r.is_ok()));
-        let record = timeline.finish("plan_batch").unwrap();
-        let items: Vec<_> = record.stages.iter().filter(|s| s.name == "item").collect();
-        assert_eq!(items.len(), 2);
-        let mut indices: Vec<String> = items
-            .iter()
-            .flat_map(|s| s.args.iter())
-            .filter(|(k, _)| k == "item")
-            .map(|(_, v)| v.clone())
-            .collect();
-        indices.sort();
-        assert_eq!(indices, vec!["0".to_string(), "1".to_string()]);
-    }
-
-    #[test]
-    fn fired_cancel_fails_remaining_plan_many_items() {
-        let token = CancelToken::new();
-        token.cancel();
-        let requests = vec![PlanRequest::new(DistSpec::Exponential { lambda: 1.0 })];
-        let batch = Planner::plan_many_with_cancel(&requests, &token);
         assert_eq!(
-            batch[0].as_ref().unwrap_err(),
-            &RsjError::Core(rsj_core::CoreError::Cancelled)
+            rsj_dist::last_eval_source(),
+            Some(rsj_dist::EvalTableSource::CacheHit)
+        );
+        assert_ne!(
+            batch[0].as_ref().unwrap().expected_cost.to_bits(),
+            batch[1].as_ref().unwrap().expected_cost.to_bits()
         );
     }
 
     #[test]
-    fn group_key_is_the_cache_key_without_the_solver() {
+    fn plan_request_planner_matches_the_equivalent_builder() {
+        let cost = CostModel::new(1.0, 0.5, 0.25).unwrap();
+        let solver = SolverSpec::BruteForce {
+            grid: 60,
+            samples: 80,
+            analytic: true,
+            seed: 1,
+        };
+        let sim = SimulateOptions { jobs: 32, seed: 5 };
+        let mut request = PlanRequest::new(DistSpec::Gamma {
+            alpha: 2.0,
+            beta: 2.0,
+        })
+        .with_solver(solver.clone())
+        .with_cost(cost)
+        .with_simulate(sim);
+        request.seed = Some(7);
+        let from_request = request.planner().unwrap();
+        let from_builder = Planner::builder()
+            .distribution(request.distribution.clone())
+            .solver(solver.with_seed(7))
+            .cost_rates(cost.alpha, cost.beta, cost.gamma)
+            .simulate(sim)
+            .build()
+            .unwrap();
+        assert_eq!(from_request.cache_key(), from_builder.cache_key());
+        let (a, b) = (from_request.plan().unwrap(), from_builder.plan().unwrap());
+        assert_eq!(a.digest, b.digest);
+        assert_eq!(a.expected_cost.to_bits(), b.expected_cost.to_bits());
+        assert_eq!(
+            a.simulation.unwrap().mean_cost.to_bits(),
+            b.simulation.unwrap().mean_cost.to_bits()
+        );
+
+        // Validation errors are the builder's, unchanged.
+        let bad = PlanRequest::new(DistSpec::Exponential { lambda: -1.0 });
+        let want = Planner::builder()
+            .distribution(bad.distribution.clone())
+            .build()
+            .unwrap_err();
+        assert_eq!(bad.planner().unwrap_err(), want);
+    }
+
+    #[test]
+    fn fired_cancel_stops_a_traced_plan_before_scoring() {
         let planner = Planner::builder()
             .distribution(DistSpec::Exponential { lambda: 1.0 })
             .solver_name("mean_by_mean")
+            .simulate(SimulateOptions { jobs: 16, seed: 3 })
             .build()
             .unwrap();
-        let cache_key = planner.cache_key().unwrap();
-        let group_key = planner.group_key().unwrap();
-        assert!(cache_key.starts_with(&group_key));
-        assert!(!group_key.contains("mean_by_mean"));
-        // A different solver over the same law shares the group.
-        let other = Planner::builder()
-            .distribution(DistSpec::Exponential { lambda: 1.0 })
-            .solver_name("mean_doubling")
-            .build()
-            .unwrap();
-        assert_eq!(other.group_key().unwrap(), group_key);
-        assert_ne!(other.cache_key().unwrap(), cache_key);
+        let token = CancelToken::new();
+        token.cancel();
+        let mut timeline =
+            rsj_obs::Timeline::begin(rsj_obs::TraceContext::generate(), std::time::Instant::now());
+        assert_eq!(
+            planner.plan_traced(&token, &mut timeline).unwrap_err(),
+            RsjError::Core(rsj_core::CoreError::Cancelled),
+        );
+        let record = timeline.finish("plan").unwrap();
+        let names: Vec<&str> = record.stages.iter().map(|s| s.name.as_ref()).collect();
+        assert_eq!(names, vec!["solve"]);
     }
 
     #[test]
