@@ -103,7 +103,7 @@ pub fn run_plan(cfg: &PlanConfig, json: bool, explain_solver: bool) -> Result<St
         let path = match dp_path {
             Some(rsj_core::DpPath::Monotone) => "monotone O(n log n) envelope (runtime gate fired)",
             Some(rsj_core::DpPath::ExactDeclined) => {
-                "exact O(n²) pass (monotone gate declined at runtime)"
+                "exact O(n²) pass (monotone fast path declined (structural gate or near-tie margin))"
             }
             Some(rsj_core::DpPath::ExactForced) => "exact O(n²) pass (monotone fast path disabled)",
             None => "no discretized DP (closed-form or sampling heuristic)",

@@ -290,8 +290,7 @@ impl BruteForce {
         cost: &CostModel,
         cancel: &CancelToken,
     ) -> Result<BruteForceResult> {
-        let _wall = rsj_obs::ScopedTimer::global("rsj_core_brute_force_wall_seconds");
-        let _span = rsj_obs::span!("brute_force.best");
+        let _span = rsj_obs::span!("brute_force.best", "rsj_core_brute_force_wall_seconds");
         let sweep = self.sweep_cancellable(dist, cost, cancel)?;
         let valid_candidates = sweep.iter().filter(|p| p.normalized_cost.is_some()).count();
         if rsj_obs::metrics_enabled() {

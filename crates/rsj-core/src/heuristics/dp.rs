@@ -139,8 +139,7 @@ pub fn optimal_discrete_cancellable(
     par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete");
+    let _span = rsj_obs::span!("dp.optimal_discrete", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();
@@ -167,7 +166,7 @@ pub fn optimal_discrete_cancellable(
             .inc();
     }
     rsj_obs::debug!(
-        "dp monotone gate declined on {} states; running exact O(n²) pass",
+        "monotone fast path declined (structural gate or near-tie margin) on {} states; running exact O(n²) pass",
         v.len()
     );
     record_dp_path(DpPath::ExactDeclined);
@@ -205,8 +204,7 @@ pub fn optimal_discrete_exact_cancellable(
     par: &Parallelism,
     cancel: &CancelToken,
 ) -> Result<DpSolution> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete_exact");
+    let _span = rsj_obs::span!("dp.optimal_discrete_exact", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();
@@ -225,8 +223,7 @@ pub fn optimal_discrete_monotone(
     cost: &CostModel,
     cancel: &CancelToken,
 ) -> Result<Option<DpSolution>> {
-    let _wall = rsj_obs::ScopedTimer::global("rsj_core_dp_wall_seconds");
-    let _span = rsj_obs::span!("dp.optimal_discrete_monotone");
+    let _span = rsj_obs::span!("dp.optimal_discrete_monotone", "rsj_core_dp_wall_seconds");
     let v = dist.values();
     let f = dist.probs();
     let s = dist.suffix_masses();

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use rsj_core::{
-    monotone_gate, optimal_discrete, optimal_discrete_exact, optimal_discrete_monotone,
-    CancelToken, CostModel, DpSolution,
+    clear_last_dp_path, last_dp_path, monotone_gate, optimal_discrete, optimal_discrete_exact,
+    optimal_discrete_monotone, CancelToken, CostModel, DpPath, DpSolution,
 };
 use rsj_dist::{discretize, DiscreteDistribution, DiscretizationScheme, DistSpec};
 
@@ -110,6 +110,55 @@ fn large_grid_is_bit_identical() {
         let d = discretize(dist.as_ref(), scheme, 6000, 1e-7).unwrap();
         check_equivalence(&d, &cost, true, &format!("large/{scheme:?}"));
     }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "n=10⁴ exact passes; runs in release in CI perf-smoke"
+)]
+fn table1_at_n10k_is_bit_identical_and_declines_where_pinned() {
+    // The paper's n=10³ grid is where the fast path always fires; at n=10⁴
+    // it declines on some Table 1 cells (near-tie margin aborts). The
+    // public entry point must still return the exact pass's bits there, and
+    // report the decline through `last_dp_path`.
+    const DECLINED: [(&str, DiscretizationScheme); 4] = [
+        ("Exponential", DiscretizationScheme::EqualProbability),
+        ("Weibull", DiscretizationScheme::EqualProbability),
+        ("TruncatedNormal", DiscretizationScheme::EqualTime),
+        ("Beta", DiscretizationScheme::EqualTime),
+    ];
+    let cost = CostModel::reservation_only();
+    let mut declined = Vec::new();
+    for (name, spec) in DistSpec::paper_table1() {
+        let dist = spec.build().unwrap();
+        for scheme in [
+            DiscretizationScheme::EqualTime,
+            DiscretizationScheme::EqualProbability,
+        ] {
+            let context = format!("{name}/{scheme:?}/n=1e4");
+            let d = discretize(dist.as_ref(), scheme, 10_000, 1e-7)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let exact = optimal_discrete_exact(&d, &cost).expect("exact pass solves");
+            let fast = optimal_discrete_monotone(&d, &cost, &CancelToken::none())
+                .expect("no cancellation");
+            if let Some(fast) = &fast {
+                assert_bit_identical(fast, &exact, &context);
+            } else {
+                declined.push((name, scheme));
+            }
+            clear_last_dp_path();
+            let auto = optimal_discrete(&d, &cost).expect("auto entry point solves");
+            assert_bit_identical(&auto, &exact, &context);
+            let expected = if fast.is_some() {
+                DpPath::Monotone
+            } else {
+                DpPath::ExactDeclined
+            };
+            assert_eq!(last_dp_path(), Some(expected), "{context}: dp path");
+        }
+    }
+    assert_eq!(declined, DECLINED, "cells where the fast path declines");
 }
 
 #[test]

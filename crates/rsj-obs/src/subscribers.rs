@@ -1,17 +1,12 @@
 //! Ready-made [`Subscriber`] implementations: the leveled stderr logger
-//! behind `RSJ_LOG`, a JSON-lines sink for machine-readable traces, and an
-//! in-memory capture for tests.
+//! behind `RSJ_LOG`, and an in-memory capture for tests.
 
 use crate::level::Level;
-use crate::trace::{Event, SpanRecord, Subscriber};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use crate::trace::{Event, Subscriber};
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// Leveled logger printing `[LEVEL target] span.path: message` lines to
-/// stderr. This is what [`crate::init_from_env`] installs.
+/// Leveled logger printing `[LEVEL target] message` lines to stderr. This
+/// is what [`crate::init_from_env`] installs.
 #[derive(Debug)]
 pub struct StderrLogger {
     level: Level,
@@ -24,13 +19,7 @@ impl StderrLogger {
     }
 
     fn format(event: &Event<'_>) -> String {
-        let mut line = format!("[{} {}] ", event.level.tag(), event.target);
-        if !event.spans.is_empty() {
-            line.push_str(&event.spans.join(">"));
-            line.push_str(": ");
-        }
-        line.push_str(event.message);
-        line
+        format!("[{} {}] {}", event.level.tag(), event.target, event.message)
     }
 }
 
@@ -42,87 +31,6 @@ impl Subscriber for StderrLogger {
     fn on_event(&self, event: &Event<'_>) {
         eprintln!("{}", Self::format(event));
     }
-
-    fn on_span_exit(&self, span: &SpanRecord<'_>, elapsed: Duration) {
-        eprintln!(
-            "[{} span] {}: {:.3?}",
-            Level::Trace.tag(),
-            span.spans.join(">"),
-            elapsed
-        );
-    }
-}
-
-/// Writes one JSON object per line (events and span exits) to any writer —
-/// the machine-readable twin of [`StderrLogger`].
-///
-/// Lines have the shape
-/// `{"type":"event","level":"info","target":"…","spans":[…],"message":"…"}`
-/// and
-/// `{"type":"span","name":"…","spans":[…],"elapsed_secs":0.0012}`.
-pub struct JsonLinesSink {
-    level: Level,
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonLinesSink {
-    /// A sink writing to `writer` at `level`.
-    pub fn new(level: Level, writer: Box<dyn Write + Send>) -> Self {
-        Self {
-            level,
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// A sink appending to the file at `path` (created if absent).
-    pub fn to_file(level: Level, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::new(level, Box::new(BufWriter::new(file))))
-    }
-
-    fn write_line(&self, value: impl serde::Serialize) {
-        let Ok(line) = serde_json::to_string(&value) else {
-            return;
-        };
-        let mut writer = self.writer.lock().expect("sink lock poisoned");
-        // A full disk or closed pipe must not take the traced program
-        // down; the line is dropped.
-        let _ = writeln!(writer, "{line}");
-        let _ = writer.flush();
-    }
-}
-
-impl std::fmt::Debug for JsonLinesSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonLinesSink")
-            .field("level", &self.level)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Subscriber for JsonLinesSink {
-    fn max_level(&self) -> Level {
-        self.level
-    }
-
-    fn on_event(&self, event: &Event<'_>) {
-        self.write_line(serde_json::json!({
-            "type": "event",
-            "level": event.level.as_str(),
-            "target": event.target,
-            "spans": event.spans,
-            "message": event.message,
-        }));
-    }
-
-    fn on_span_exit(&self, span: &SpanRecord<'_>, elapsed: Duration) {
-        self.write_line(serde_json::json!({
-            "type": "span",
-            "name": span.name,
-            "spans": span.spans,
-            "elapsed_secs": elapsed.as_secs_f64(),
-        }));
-    }
 }
 
 /// Captures formatted events in memory — for asserting on log output in
@@ -131,7 +39,6 @@ impl Subscriber for JsonLinesSink {
 pub struct MemorySink {
     level: Level,
     events: Mutex<Vec<String>>,
-    span_exits: Mutex<Vec<(String, Duration)>>,
 }
 
 impl MemorySink {
@@ -140,18 +47,12 @@ impl MemorySink {
         Self {
             level,
             events: Mutex::new(Vec::new()),
-            span_exits: Mutex::new(Vec::new()),
         }
     }
 
     /// The formatted events captured so far, in order.
     pub fn events(&self) -> Vec<String> {
         self.events.lock().expect("sink lock poisoned").clone()
-    }
-
-    /// The span exits captured so far: `(span path, elapsed)`.
-    pub fn span_exits(&self) -> Vec<(String, Duration)> {
-        self.span_exits.lock().expect("sink lock poisoned").clone()
     }
 }
 
@@ -165,12 +66,5 @@ impl Subscriber for MemorySink {
             .lock()
             .expect("sink lock poisoned")
             .push(StderrLogger::format(event));
-    }
-
-    fn on_span_exit(&self, span: &SpanRecord<'_>, elapsed: Duration) {
-        self.span_exits
-            .lock()
-            .expect("sink lock poisoned")
-            .push((span.spans.join(">"), elapsed));
     }
 }

@@ -1,6 +1,11 @@
-//! The span/event tracing layer: a global [`Subscriber`], a thread-local
-//! span stack, and the dispatch functions behind the [`span!`](crate::span)
-//! / [`event!`](crate::event) macros.
+//! The event tracing layer: a global [`Subscriber`], the dispatch
+//! function behind the [`event!`](crate::event) macros, and the
+//! [`span!`](crate::span) scope guard.
+//!
+//! A [`Span`] is the one scope guard the workspace times its solver stages
+//! with. On drop it records the scope's wall time into a named histogram of
+//! the global registry when metrics are on, and emits one `Trace` event
+//! `"{name}: {elapsed}"` when the subscriber runs at [`Level::Trace`].
 //!
 //! ## Zero cost when disabled
 //!
@@ -8,13 +13,14 @@
 //! `AtomicU8` (`0` = no subscriber). Every macro expansion first checks
 //! that atomic with a relaxed load; when the level is filtered out the
 //! expansion performs **no formatting, no allocation, no clock read and no
-//! lock** — an inactive [`Span`] is a `None` and its `Drop` is a branch.
+//! lock**. A span with neither sink on costs two relaxed loads, and its
+//! `Drop` is a branch on `None`.
 
 use crate::level::Level;
-use std::cell::RefCell;
+use crate::metrics;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A structured log record handed to [`Subscriber::on_event`].
 #[derive(Debug)]
@@ -25,24 +31,10 @@ pub struct Event<'a> {
     pub target: &'a str,
     /// The formatted message.
     pub message: &'a str,
-    /// Names of the spans enclosing the call site, outermost first.
-    pub spans: &'a [&'static str],
 }
 
-/// A span boundary handed to [`Subscriber::on_span_enter`] /
-/// [`Subscriber::on_span_exit`].
-#[derive(Debug)]
-pub struct SpanRecord<'a> {
-    /// The span's name.
-    pub name: &'static str,
-    /// Nesting depth after entering (1 = top level).
-    pub depth: usize,
-    /// Names of the enclosing spans including this one, outermost first.
-    pub spans: &'a [&'static str],
-}
-
-/// Receives events and span boundaries. Implementations must be cheap to
-/// call and internally synchronized (`Send + Sync`).
+/// Receives events. Implementations must be cheap to call and internally
+/// synchronized (`Send + Sync`).
 pub trait Subscriber: Send + Sync {
     /// The most verbose level this subscriber wants; more verbose events
     /// are never dispatched to it.
@@ -50,23 +42,12 @@ pub trait Subscriber: Send + Sync {
 
     /// An event passed the level filter.
     fn on_event(&self, event: &Event<'_>);
-
-    /// A span was entered (dispatched only at `max_level() >= Trace`
-    /// alongside timing on exit; override for structured sinks).
-    fn on_span_enter(&self, _span: &SpanRecord<'_>) {}
-
-    /// A span was exited after `elapsed`.
-    fn on_span_exit(&self, _span: &SpanRecord<'_>, _elapsed: Duration) {}
 }
 
 /// `0` = off; otherwise the installed subscriber's `max_level() as u8`.
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
 
 static SUBSCRIBER: RwLock<Option<Arc<dyn Subscriber>>> = RwLock::new(None);
-
-thread_local! {
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Installs `subscriber` as the process-global subscriber, replacing any
 /// previous one (tests swap subscribers; production installs once at
@@ -109,70 +90,64 @@ pub fn dispatch_event(level: Level, target: &str, args: std::fmt::Arguments<'_>)
         return;
     }
     let message = args.to_string();
-    SPAN_STACK.with(|stack| {
-        let spans = stack.borrow();
-        subscriber.on_event(&Event {
-            level,
-            target,
-            message: &message,
-            spans: &spans,
-        });
+    subscriber.on_event(&Event {
+        level,
+        target,
+        message: &message,
     });
 }
 
-/// An RAII span: created by the [`span!`](crate::span) macro, pushes its
-/// name onto the thread-local span stack and reports its wall time to the
-/// subscriber on drop.
+/// An RAII scope guard, created by the [`span!`](crate::span) macro.
 ///
-/// Spans are active only when the installed subscriber's level reaches
-/// [`Level::Trace`]; otherwise construction returns an inert value whose
-/// drop is a branch on `None`.
+/// Which sinks it reports to is decided on entry: the histogram when
+/// global metrics are enabled, a `Trace` event when the subscriber's level
+/// reaches [`Level::Trace`]. With neither on it is inert: no clock read,
+/// and its drop is a branch on `None`.
 #[derive(Debug)]
 #[must_use = "a span is exited when dropped; binding it to `_` drops it immediately"]
 pub struct Span {
     name: &'static str,
+    histogram: &'static str,
+    target: &'static str,
     start: Option<Instant>,
+    record: bool,
+    log: bool,
 }
 
 impl Span {
-    /// Enters a span named `name` (no-op unless span tracing is enabled).
+    /// Enters a span named `name` whose wall time goes into the global
+    /// histogram `histogram` (in seconds); `target` is the call site's
+    /// module path for the exit event.
     #[inline]
-    pub fn enter(name: &'static str) -> Self {
-        if !enabled(Level::Trace) {
-            return Self { name, start: None };
+    pub fn enter(name: &'static str, histogram: &'static str, target: &'static str) -> Self {
+        let record = metrics::enabled();
+        let log = enabled(Level::Trace);
+        let start = (record || log).then(Instant::now);
+        Self {
+            name,
+            histogram,
+            target,
+            start,
+            record,
+            log,
         }
-        Self::enter_active(name)
     }
 
     #[cold]
-    fn enter_active(name: &'static str) -> Self {
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.push(name);
-            let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
-            if let Some(subscriber) = guard.as_ref() {
-                subscriber.on_span_enter(&SpanRecord {
-                    name,
-                    depth: stack.len(),
-                    spans: &stack,
-                });
-            }
-        });
-        Self {
-            name,
-            start: Some(Instant::now()),
+    fn exit(&self, start: Instant) {
+        let elapsed = start.elapsed();
+        if self.record {
+            metrics::global()
+                .histogram(self.histogram)
+                .observe(elapsed.as_secs_f64());
         }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Whether the span is actually recording (a subscriber at `Trace`
-    /// level was installed when it was entered).
-    pub fn is_active(&self) -> bool {
-        self.start.is_some()
+        if self.log {
+            dispatch_event(
+                Level::Trace,
+                self.target,
+                format_args!("{}: {elapsed:.3?}", self.name),
+            );
+        }
     }
 }
 
@@ -180,50 +155,23 @@ impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            exit_span(self.name, start.elapsed());
+            self.exit(start);
         }
     }
 }
 
-#[cold]
-fn exit_span(name: &'static str, elapsed: Duration) {
-    SPAN_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let guard = SUBSCRIBER.read().expect("subscriber lock poisoned");
-        if let Some(subscriber) = guard.as_ref() {
-            subscriber.on_span_exit(
-                &SpanRecord {
-                    name,
-                    depth: stack.len(),
-                    spans: &stack,
-                },
-                elapsed,
-            );
-        }
-        // Pop after notifying so the record still contains this span.
-        // Guard against unbalanced drops (a span sent across threads).
-        if stack.last() == Some(&name) {
-            stack.pop();
-        }
-    });
-}
-
-/// Runs `f` with the current thread's span stack (outermost first).
-pub fn with_current_spans<T>(f: impl FnOnce(&[&'static str]) -> T) -> T {
-    SPAN_STACK.with(|stack| f(&stack.borrow()))
-}
-
-/// Enters a span named `$name` (a `&'static str`), returning a guard that
-/// reports wall time to the subscriber when dropped.
+/// Enters a span named `$name` whose wall time is recorded into the global
+/// histogram `$histogram` when metrics are on, and logged as a `Trace`
+/// event when tracing is; returns the guard that does so when dropped.
 ///
 /// ```
-/// let _guard = rsj_obs::span!("solver.brute_force");
-/// // ... traced work ...
+/// let _span = rsj_obs::span!("solver.brute_force", "solver_wall_seconds");
+/// // ... timed work ...
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::trace::Span::enter($name)
+    ($name:expr, $histogram:expr) => {
+        $crate::trace::Span::enter($name, $histogram, module_path!())
     };
 }
 
@@ -270,4 +218,62 @@ macro_rules! debug {
 #[macro_export]
 macro_rules! trace {
     ($($arg:tt)+) => { $crate::event!($crate::Level::Trace, $($arg)+) };
+}
+
+/// Serializes the unit tests that install a subscriber or toggle metrics:
+/// that state is process-global and libtest runs tests in parallel.
+#[cfg(test)]
+pub(crate) fn lock_global_state() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemorySink;
+
+    fn observations(histogram: &str) -> u64 {
+        metrics::global().histogram(histogram).snapshot().count()
+    }
+
+    #[test]
+    fn span_reports_to_exactly_the_sinks_that_are_on() {
+        let _guard = lock_global_state();
+        let sink = Arc::new(MemorySink::new(Level::Trace));
+        let histogram = "trace_test_span_wall_seconds";
+
+        // Both off: the guard is inert.
+        clear_subscriber();
+        metrics::set_enabled(false);
+        let off = crate::span!("test.off", histogram);
+        assert!(off.start.is_none(), "no clock read when both sinks are off");
+        drop(off);
+        assert_eq!(observations(histogram), 0);
+
+        // Metrics only: one observation, no event (no subscriber).
+        metrics::set_enabled(true);
+        drop(crate::span!("test.metrics", histogram));
+        assert_eq!(observations(histogram), 1);
+
+        // Trace only: one event naming the span and its call site.
+        metrics::set_enabled(false);
+        set_subscriber(sink.clone());
+        drop(crate::span!("test.trace", histogram));
+        clear_subscriber();
+        assert_eq!(observations(histogram), 1);
+        let events = sink.events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert!(
+            events[0].starts_with("[TRACE rsj_obs::trace::tests] test.trace: "),
+            "{events:?}"
+        );
+
+        // A subscriber below Trace gets no exit event.
+        let quiet = Arc::new(MemorySink::new(Level::Debug));
+        set_subscriber(quiet.clone());
+        drop(crate::span!("test.debug", histogram));
+        clear_subscriber();
+        assert!(quiet.events().is_empty());
+    }
 }

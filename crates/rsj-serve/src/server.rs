@@ -115,8 +115,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Total plans held by the LRU cache (0 disables caching).
     pub cache_capacity: usize,
-    /// Lock shards for the cache.
-    pub cache_shards: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
     /// Admission-queue sizing (capacity and shed watermarks).
@@ -143,7 +141,6 @@ impl Default for ServerConfig {
             max_requests_per_conn: 1024,
             read_timeout: Duration::from_secs(30),
             cache_capacity: 256,
-            cache_shards: 8,
             max_line_bytes: 1 << 20,
             admission: AdmissionConfig::default(),
             chaos: None,
@@ -374,7 +371,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let cache = PlanCache::new(config.cache_capacity, config.cache_shards);
+        let cache = PlanCache::new(config.cache_capacity, CACHE_SHARDS);
         let admission = AdmissionQueue::new(config.admission);
         let trace = (config.trace_buffer > 0).then(|| rsj_obs::TraceRing::new(config.trace_buffer));
         let shared = Arc::new(Shared {
@@ -515,6 +512,9 @@ const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Read chunk size for connection sockets.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Lock shards of the plan cache.
+const CACHE_SHARDS: usize = 8;
 
 /// A deferred timeline finish: the `write` span can only be recorded
 /// once the response has fully reached the socket.
